@@ -15,8 +15,8 @@ Three hard invariants are verified before anything is written:
   uninterrupted run, for every transient plan x system cell, converging
   within the default bounded retry budget.
 * **Failure semantics** — the fatal ``worker-crash`` plan propagates
-  without a single retry, and a stalled pipelined map stage under a
-  watchdog converts into a recoverable timeout.
+  without a single retry, and a stalled map stage under a watchdog
+  converts into a recoverable timeout.
 
 Usage::
 
@@ -38,11 +38,11 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from perf_gate import results_identical  # noqa: E402
 from repro.errors import InjectedCrashError, TransientError  # noqa: E402
 from repro.eval.service import RetryPolicy, RunKey, SlamService  # noqa: E402
 from repro.faults import available_fault_plans  # noqa: E402
@@ -79,24 +79,6 @@ def _key(algorithm: str, **overrides) -> RunKey:
     return RunKey(**params)
 
 
-def _results_identical(a, b) -> bool:
-    if len(a.frames) != len(b.frames):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if not np.array_equal(fa.estimated_pose.quat, fb.estimated_pose.quat):
-            return False
-        if not np.array_equal(fa.estimated_pose.trans, fb.estimated_pose.trans):
-            return False
-        if (
-            fa.tracking_loss != fb.tracking_loss
-            or fa.mapping_loss != fb.mapping_loss
-            or fa.is_keyframe != fb.is_keyframe
-            or fa.num_gaussians != fb.num_gaussians
-        ):
-            return False
-    return True
-
-
 def _clean_reference(algorithm: str):
     """The uninterrupted plain-executor run every cell is compared to."""
     return SlamService(perf=PerfRecorder()).run(_key(algorithm))
@@ -108,7 +90,7 @@ def _recovery_cell(algorithm: str, plan: str | None, clean) -> dict:
     start = time.perf_counter()
     result = service.run(_key(algorithm, faults=plan))
     return {
-        "identical": _results_identical(clean, result),
+        "identical": results_identical(clean, result),
         "retries": service.retries,
         "recoveries": service.recoveries,
         "elapsed_seconds": round(time.perf_counter() - start, 3),
@@ -167,8 +149,11 @@ def build_results() -> dict:
         fatal_ok = False
     targets["fatal worker-crash propagates without retries"] = fatal_ok
 
-    # Watchdog: a stalled pipelined map stage becomes a recoverable
-    # timeout (whole-run attempts; no periodic checkpoints needed).  The
+    # Watchdog: a stalled map stage becomes a recoverable timeout at the
+    # sequential stage boundary (whole-run attempts; no periodic
+    # checkpoints needed).  The target keeps its historical
+    # "(splatam/pipelined)" name so --gate compares it with the
+    # committed BENCH_faults.json.  The
     # enlarged retry budget absorbs spurious trips under load — every
     # retry restarts from scratch, so bit-identity is unaffected.
     watchdog_service = SlamService(
@@ -176,12 +161,10 @@ def build_results() -> dict:
         watchdog_timeout=WATCHDOG_TIMEOUT,
         retry=RetryPolicy(max_retries=6),
     )
-    watchdog_result = watchdog_service.run(
-        _key("splatam", faults="map-stall", execution="pipelined")
-    )
+    watchdog_result = watchdog_service.run(_key("splatam", faults="map-stall"))
     watchdog_counters = watchdog_service.perf.counters.as_dict()
     watchdog_cell = {
-        "identical": _results_identical(clean["splatam"], watchdog_result),
+        "identical": results_identical(clean["splatam"], watchdog_result),
         "retries": watchdog_service.retries,
         "watchdog_timeouts": int(watchdog_counters.get("session.watchdog_timeouts", 0)),
     }

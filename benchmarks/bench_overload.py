@@ -43,7 +43,9 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from perf_gate import percentile  # noqa: E402
 from repro.datasets import load_sequence  # noqa: E402
 from repro.eval.service import build_session  # noqa: E402
 from repro.faults import get_serving_fault_plan  # noqa: E402
@@ -101,13 +103,6 @@ def _payload_matches(reference, payload) -> bool:
     return True
 
 
-def _percentile(sorted_values, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
-
-
 def _run_storm_cell(intrinsics, frames, reference) -> dict:
     admission = AdmissionController(max_in_flight=MAX_IN_FLIGHT)
     with SlamServer(
@@ -133,7 +128,7 @@ def _run_storm_cell(intrinsics, frames, reference) -> dict:
         c.client_id for c in report.clients if not _payload_matches(reference, c.result)
     ]
     latencies = sorted(report.admitted_latencies())
-    p95 = _percentile(latencies, 0.95)
+    p95 = percentile(latencies, 0.95)
     return {
         "clients": STORM_CLIENTS,
         "max_in_flight": MAX_IN_FLIGHT,
@@ -142,7 +137,7 @@ def _run_storm_cell(intrinsics, frames, reference) -> dict:
         "survivors": len(report.survivors),
         "total_sheds": report.total_sheds,
         "total_disconnects": report.total_disconnects,
-        "admitted_post_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
+        "admitted_post_p50_ms": round(percentile(latencies, 0.50) * 1e3, 3),
         "admitted_post_p95_ms": round(p95 * 1e3, 3),
         "in_flight_after": health["admission"]["in_flight"],
         "server_shed_total": health["admission"]["shed_total"],

@@ -40,11 +40,11 @@ import sys
 import threading
 import time
 
-import numpy as np
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from perf_gate import percentile, results_identical  # noqa: E402
 from repro.datasets import load_sequence  # noqa: E402
 from repro.eval.service import build_session  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
@@ -94,31 +94,6 @@ def _sync_reference(intrinsics, frames):
     return session.finalize()
 
 
-def _results_identical(a, b) -> bool:
-    if len(a.frames) != len(b.frames):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if not np.array_equal(fa.estimated_pose.quat, fb.estimated_pose.quat):
-            return False
-        if not np.array_equal(fa.estimated_pose.trans, fb.estimated_pose.trans):
-            return False
-        if (
-            fa.tracking_loss != fb.tracking_loss
-            or fa.mapping_loss != fb.mapping_loss
-            or fa.is_keyframe != fb.is_keyframe
-            or fa.num_gaussians != fb.num_gaussians
-        ):
-            return False
-    return True
-
-
-def _percentile(sorted_values, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
-
-
 def _run_level(num_sessions: int, intrinsics, frames, reference) -> dict:
     """One concurrency level: N producer threads over a shared shard set."""
     perf = PerfRecorder()
@@ -156,7 +131,7 @@ def _run_level(num_sessions: int, intrinsics, frames, reference) -> dict:
                 handle.submit(frame)
             result = handle.result()
             handle.close()
-            if not _results_identical(reference, result):
+            if not results_identical(reference, result):
                 mismatches.append(session_id)
         except Exception as exc:  # noqa: BLE001 - recorded, fails the target
             errors.append(f"{session_id}: {exc!r}")
@@ -184,8 +159,8 @@ def _run_level(num_sessions: int, intrinsics, frames, reference) -> dict:
         "frames": total_frames,
         "elapsed_seconds": round(elapsed, 3),
         "frames_per_second": round(total_frames / elapsed, 2) if elapsed else 0.0,
-        "ingest_latency_p50_ms": round(_percentile(ordered, 0.50) * 1e3, 3),
-        "ingest_latency_p95_ms": round(_percentile(ordered, 0.95) * 1e3, 3),
+        "ingest_latency_p50_ms": round(percentile(ordered, 0.50) * 1e3, 3),
+        "ingest_latency_p95_ms": round(percentile(ordered, 0.95) * 1e3, 3),
         "parks": stats["parks"],
         "resumes": stats["resumes"],
         "queue_depth_high_water": int(counters.get("serve.queue_depth", 0)),
@@ -257,7 +232,7 @@ def run_smoke() -> int:
                 handle.submit(frame)
         for session_id, handle in handles.items():
             result = handle.result()
-            status = "ok" if _results_identical(reference, result) else "MISMATCH"
+            status = "ok" if results_identical(reference, result) else "MISMATCH"
             print(f"serve smoke {session_id}: {status}")
             if status != "ok":
                 failures.append(session_id)

@@ -42,7 +42,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from perf_gate import check_gate, gate_table  # noqa: E402
+from perf_gate import best_of, check_gate, gate_table  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
 
 from repro.gaussians import (  # noqa: E402
@@ -72,17 +72,6 @@ GATED_KEYS = [
 ]
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn()`` (after warmup)."""
-    fn()
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return float(best)
-
-
 def _scene(height: int, width: int, count: int):
     model = GaussianModel.random(count, extent=1.0, seed=3)
     model.means[:, 2] += 3.0
@@ -105,7 +94,7 @@ def bench_backward(repeats: int) -> dict[str, float]:
         )
         plain_result = render(model, camera, record_workloads=False, record_contributions=False)
 
-        timings[f"backward.{label}.reference"] = _best_of(
+        timings[f"backward.{label}.reference"] = best_of(
             lambda: render_backward(
                 model, camera, plain_result, grad_color, grad_depth,
                 compute_pose_gradient=True, backend="reference",
@@ -114,7 +103,7 @@ def bench_backward(repeats: int) -> dict[str, float]:
         )
         # No retained cache: the bucketed backward rebuilds the forward
         # intermediates itself.
-        timings[f"backward.{label}.bucketed"] = _best_of(
+        timings[f"backward.{label}.bucketed"] = best_of(
             lambda: render_backward(
                 model, camera, plain_result, grad_color, grad_depth,
                 compute_pose_gradient=True,
@@ -122,7 +111,7 @@ def bench_backward(repeats: int) -> dict[str, float]:
             repeats,
         )
         # Fused: forward already retained the cache; backward only consumes.
-        timings[f"backward.{label}.fused"] = _best_of(
+        timings[f"backward.{label}.fused"] = best_of(
             lambda: render_backward(
                 model, camera, fused_result, grad_color, grad_depth,
                 compute_pose_gradient=True,
@@ -138,7 +127,7 @@ def bench_backward(repeats: int) -> dict[str, float]:
                 model, camera, result, grad_color, grad_depth, compute_pose_gradient=True
             )
 
-        timings[f"iteration.{label}.fused"] = _best_of(one_iteration, repeats)
+        timings[f"iteration.{label}.fused"] = best_of(one_iteration, repeats)
     return timings
 
 

@@ -37,7 +37,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from perf_gate import check_gate, gate_table  # noqa: E402
+from perf_gate import best_of, check_gate, gate_table  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
 
 from repro.gaussians import (  # noqa: E402
@@ -64,17 +64,6 @@ GATED_KEYS = [
     "culling.n800.render.precise",
     "culling.n800.iteration.precise",
 ]
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn()`` (after warmup)."""
-    fn()
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return float(best)
 
 
 def _scene(count: int):
@@ -130,7 +119,7 @@ def bench_culling(repeats: int) -> tuple[dict[str, float], dict[str, dict]]:
         }
 
         for tag, modes in (("aabb", LEGACY), ("precise", PRECISE)):
-            timings[f"culling.{label}.render.{tag}"] = _best_of(
+            timings[f"culling.{label}.render.{tag}"] = best_of(
                 lambda m=modes: render(
                     model, camera, record_workloads=False,
                     record_contributions=False, **m,
@@ -149,7 +138,7 @@ def bench_culling(repeats: int) -> tuple[dict[str, float], dict[str, dict]]:
                     compute_pose_gradient=True,
                 )
 
-            timings[f"culling.{label}.iteration.{tag}"] = _best_of(one_iteration, repeats)
+            timings[f"culling.{label}.iteration.{tag}"] = best_of(one_iteration, repeats)
     return timings, reductions
 
 

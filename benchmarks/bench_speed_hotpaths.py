@@ -37,7 +37,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from perf_gate import check_gate, gate_table  # noqa: E402
+from perf_gate import best_of, check_gate, gate_table  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
 
 from repro.codec import motion_estimate  # noqa: E402
@@ -62,17 +62,6 @@ GATED_KEYS = [
 ]
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn()`` (after warmup)."""
-    fn()
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return float(best)
-
-
 def _motion_frames(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(0)
     base = rng.uniform(size=(height, width))
@@ -88,7 +77,7 @@ def bench_motion(repeats: int) -> dict[str, float]:
         label = f"{height}x{width}"
         for backend in ("reference", "vectorized"):
             reps = 1 if backend == "reference" else repeats
-            timings[f"motion.full.{label}.{backend}"] = _best_of(
+            timings[f"motion.full.{label}.{backend}"] = best_of(
                 lambda b=backend: motion_estimate(
                     current, previous, search_range=MOTION_SEARCH_RANGE, method="full", backend=b
                 ),
@@ -97,7 +86,7 @@ def bench_motion(repeats: int) -> dict[str, float]:
     height, width = MOTION_FRAME_SIZES[-1]
     current, previous = _motion_frames(height, width)
     for backend in ("reference", "vectorized"):
-        timings[f"motion.diamond.{height}x{width}.{backend}"] = _best_of(
+        timings[f"motion.diamond.{height}x{width}.{backend}"] = best_of(
             lambda b=backend: motion_estimate(
                 current, previous, search_range=MOTION_SEARCH_RANGE, method="diamond", backend=b
             ),
@@ -113,15 +102,15 @@ def bench_render(repeats: int) -> dict[str, float]:
     for count in RENDER_MODEL_SIZES:
         model = GaussianModel.random(count, extent=1.0, seed=3)
         model.means[:, 2] += 3.0
-        timings[f"render.n{count}.reference"] = _best_of(
+        timings[f"render.n{count}.reference"] = best_of(
             lambda: render(model, camera, backend="reference"), repeats
         )
-        timings[f"render.n{count}.full"] = _best_of(lambda: render(model, camera), repeats)
-        timings[f"render.n{count}.fast64"] = _best_of(
+        timings[f"render.n{count}.full"] = best_of(lambda: render(model, camera), repeats)
+        timings[f"render.n{count}.fast64"] = best_of(
             lambda: render(model, camera, record_workloads=False, record_contributions=False),
             repeats,
         )
-        timings[f"render.n{count}.fast32"] = _best_of(
+        timings[f"render.n{count}.fast32"] = best_of(
             lambda: render(
                 model,
                 camera,

@@ -1,14 +1,57 @@
-"""Shared perf-gate helpers for the speed benchmark scripts.
+"""Shared helpers for the benchmark scripts.
 
-``bench_speed_hotpaths.py`` and ``bench_speed_backward.py`` both guard a
-set of gated hot-path timings against their committed ``BENCH_*.json``
-trajectory file; the regression check and the old-vs-new comparison
-table live here so the two scripts cannot drift.
+The speed benchmarks guard a set of gated hot-path timings against their
+committed ``BENCH_*.json`` trajectory file; the regression check, the
+old-vs-new comparison table and the best-of-N timer live here so the
+scripts cannot drift.  The correctness-gated benchmarks share the
+bit-identity check and the latency percentile from here too.
 """
 
 from __future__ import annotations
 
-__all__ = ["check_gate", "gate_table"]
+import time
+
+import numpy as np
+
+__all__ = ["best_of", "check_gate", "gate_table", "percentile", "results_identical"]
+
+
+def best_of(fn, repeats: int) -> float:
+    """Best-of-``repeats`` wall-clock seconds of ``fn()`` (after warmup)."""
+    fn()
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return float(best)
+
+
+def results_identical(a, b) -> bool:
+    """Bit-identity of two SLAM results: poses, losses, keyframes, map sizes."""
+    if len(a.frames) != len(b.frames):
+        return False
+    for fa, fb in zip(a.frames, b.frames):
+        if not np.array_equal(fa.estimated_pose.quat, fb.estimated_pose.quat):
+            return False
+        if not np.array_equal(fa.estimated_pose.trans, fb.estimated_pose.trans):
+            return False
+        if (
+            fa.tracking_loss != fb.tracking_loss
+            or fa.mapping_loss != fb.mapping_loss
+            or fa.is_keyframe != fb.is_keyframe
+            or fa.num_gaussians != fb.num_gaussians
+        ):
+            return False
+    return True
+
+
+def percentile(sorted_values, q: float) -> float:
+    """Nearest-rank ``q``-quantile of ascending ``sorted_values`` (0 if empty)."""
+    if not sorted_values:
+        return 0.0
+    index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
+    return sorted_values[index]
 
 
 def check_gate(previous: dict, current: dict, max_regression: float, gated_keys) -> list[str]:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: repo hygiene, the tier-1 test suite and the hot-path
-# perf gate (which includes the pair-culling and pipelined-executor
-# benches).
+# CI entry point: repo hygiene, the tier-1 test suite, the smoke lanes,
+# an end-to-end correctness smoke and the hot-path perf gate (which
+# includes the pair-culling bench).
 #
 #   scripts/ci.sh          # hygiene + tier-1 tests + scripts/bench_speed.sh
 #   scripts/ci.sh --slow   # additionally run the weekly `pytest -m slow`
@@ -81,6 +81,12 @@ echo "== overload smoke =="
 # synchronous feed.  The 8-client / 2-slot storm grid runs in
 # benchmarks/bench_overload.py.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_overload.py --smoke
+
+echo "== end-to-end correctness smoke =="
+# One short pass of the fastpan e2e workload: an in-process AGS session
+# whose refine frames read the map through the track -> map path.  Exits
+# non-zero on any failed correctness check.
+python3 e2ebench/run.py --workload fastpan --seed 1 --seconds 1
 
 if [[ "$RUN_SLOW" == "1" ]]; then
     echo "== slow lane (randomized equivalence sweeps + full robustness and fault matrices) =="

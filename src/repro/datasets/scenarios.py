@@ -21,9 +21,8 @@ Determinism rules (the invariants tests and checkpoints rely on):
    seeded by ``(scenario seed, transform domain, frame index)``.  Frame
    ``i`` of a scenario is therefore a pure function of ``i`` and the
    underlying source: independent of access order, of how many sessions
-   share the wrapper, of sequential vs pipelined execution, and of
-   whether the consumer was resumed mid-stream from a checkpoint in a
-   fresh process.
+   share the wrapper, and of whether the consumer was resumed
+   mid-stream from a checkpoint in a fresh process.
 2. **Windows are fractions of the stream.**  Transform windows are
    resolved against ``len(source)``, so a scenario describes the same
    *shape* of degradation for any run length.

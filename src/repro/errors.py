@@ -1,7 +1,7 @@
 """The repo-wide error taxonomy for fault handling and recovery.
 
 Every layer that can fail mid-run — streaming sessions, disk
-checkpoints, the pipelined executor, the evaluation service — raises
+checkpoints, the stage watchdog, the evaluation service — raises
 errors from this taxonomy so that the recovery tier
 (:class:`repro.eval.service.SlamService`) can decide *mechanically* what
 to do with a failure:
@@ -61,12 +61,17 @@ class CheckpointCorruptError(FatalError):
 
 
 class StageTimeoutError(TransientError):
-    """The watchdog declared a pipeline stage stalled.
+    """The watchdog declared a session stage stalled.
 
-    Raised by the pipelined session executor when a submitted ``_map``
-    stage makes no progress within ``watchdog_timeout`` seconds.  The
-    session is left restorable (recovered to the last fully-mapped
-    frame), so the service can retry from a checkpoint.
+    Raised by :meth:`repro.slam.session.SessionRunner._step` when a
+    frame's ``_map`` stage ran longer than ``watchdog_timeout`` seconds,
+    before ``feed`` commits the frame, so the service can retry from a
+    checkpoint; and by :class:`repro.serve.ingest.AsyncSessionHandle`
+    when a blocked ``submit``/``flush`` sees no drain progress.
+
+    The session check is a deadline measured after the stage returns: it
+    cannot abandon a stage that never returns, which then hangs its
+    caller exactly as it would without a watchdog.
     """
 
 

@@ -40,12 +40,7 @@ from repro.errors import CheckpointCorruptError, RunManyError, TransientError
 from repro.perf import PerfRecorder, global_recorder
 from repro.serve.registry import LruMap, ParkingLot
 from repro.slam.results import SlamResult
-from repro.slam.session import (
-    EXECUTION_MODES,
-    SessionState,
-    load_session_state,
-    save_session_state,
-)
+from repro.slam.session import SessionState, load_session_state, save_session_state
 
 __all__ = [
     "KNOWN_ALGORITHMS",
@@ -91,9 +86,6 @@ class RunKey:
     thresh_n: int | None = None
     enable_mat: bool = True
     enable_gcm: bool = True
-    # Session executor mode: "sequential" or "pipelined" (bit-identical
-    # results; pipelined overlaps tracking t+1 with mapping t).
-    execution: str = "sequential"
     # Adversarial stream scenario applied to the input sequence (a name
     # from repro.datasets.scenarios.SCENARIOS), or None for the clean
     # stream.  "clean" and None produce identical runs but distinct keys.
@@ -110,10 +102,6 @@ class RunKey:
         if self.algorithm not in KNOWN_ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm '{self.algorithm}'; expected one of {KNOWN_ALGORITHMS}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode '{self.execution}'; expected one of {EXECUTION_MODES}"
             )
         if self.num_frames < 1:
             raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
@@ -147,12 +135,10 @@ class RunKey:
         """Build the key for one run of an :class:`EvalSettings` experiment.
 
         ``settings.num_frames`` sizes the run (the quantity experiments
-        previously re-derived at every call site) and
-        ``settings.execution`` selects the session executor mode;
-        iteration counts keep the ``run_slam`` defaults unless
-        overridden, matching the historical experiment configuration.
+        previously re-derived at every call site); iteration counts keep
+        the ``run_slam`` defaults unless overridden, matching the
+        historical experiment configuration.
         """
-        overrides.setdefault("execution", getattr(settings, "execution", "sequential"))
         return cls(algorithm=algorithm, sequence=sequence, num_frames=settings.num_frames, **overrides)
 
     def slug(self) -> str:
@@ -169,8 +155,6 @@ class RunKey:
             f"mat{int(self.enable_mat)}",
             f"gcm{int(self.enable_gcm)}",
         ]
-        if self.execution != "sequential":
-            parts.append(f"ex-{self.execution}")
         if self.scenario is not None:
             parts.append(f"sc-{self.scenario}")
         if not self.fallbacks:
@@ -191,7 +175,6 @@ def build_session(
     enable_mat: bool = True,
     enable_gcm: bool = True,
     fallbacks: bool = True,
-    execution: str = "sequential",
     perf: PerfRecorder | None = None,
     watchdog_timeout: float | None = None,
 ):
@@ -223,7 +206,7 @@ def build_session(
     )
 
     health = HealthConfig(enabled=fallbacks)
-    common = dict(perf=perf, execution=execution, watchdog_timeout=watchdog_timeout)
+    common = dict(perf=perf, watchdog_timeout=watchdog_timeout)
 
     if algorithm == "splatam":
         return SplaTam(
@@ -313,7 +296,6 @@ def _build_system(key: RunKey, perf: PerfRecorder, watchdog_timeout: float | Non
         enable_mat=key.enable_mat,
         enable_gcm=key.enable_gcm,
         fallbacks=key.fallbacks,
-        execution=key.execution,
         perf=perf,
         watchdog_timeout=watchdog_timeout,
     )
@@ -415,8 +397,8 @@ class SlamService:
             ``None`` for the default policy.  Retries engage only when
             the recovery driver does (a fault plan on the key, periodic
             checkpoints, or a watchdog configured).
-        watchdog_timeout: per-stage watchdog (seconds) threaded into the
-            systems' pipelined executor; ``None`` disables it.
+        watchdog_timeout: map-stage deadline (seconds) threaded into the
+            systems' sequential stage boundary; ``None`` disables it.
     """
 
     def __init__(
@@ -573,13 +555,10 @@ class SlamService:
                 sequence = injector.wrap_source(sequence)
             every = self.autocheckpoint_every
             if every <= 0:
-                # Whole-run attempts: the configured executor (sequential
-                # or pipelined + watchdog) drives the frames; retries
-                # restart from scratch.
+                # Whole-run attempts: retries restart from scratch.
                 return finish(system.run(sequence, num_frames=total))
-            # Periodic-checkpoint attempts drive frames through the
-            # synchronous feed loop (bit-identical to run(); the PR 4
-            # pipelined overlap only engages inside run()).
+            # Periodic-checkpoint attempts drive the same feed loop as
+            # run(), checkpointing every ``every`` frames.
             state = self._newest_valid_generation(generations)
             if state is not None:
                 system.restore(state)

@@ -2,13 +2,13 @@
 
 Robustness claims are only testable if failures are *reproducible*.  This
 module injects faults — stage exceptions in ``_track``/``_map``, flaky
-frame-source reads, stage stalls that trip the pipeline watchdog, and
+frame-source reads, stage stalls that trip the stage watchdog, and
 torn checkpoint writes — on a schedule that is a pure function of the
 fault plan and the run length, using exactly the
 ``SeedSequence((seed, domain, index))`` per-index draws of
 :mod:`repro.datasets.scenarios`.  Every fault therefore fires at the same
-frame index on every run of the same plan, independent of execution mode,
-retry count or process restarts, which is what lets the recovery
+frame index on every run of the same plan, independent of retry count
+or process restarts, which is what lets the recovery
 invariant be *property-tested*: a run that crashes at an injected fault
 and resumes from checkpoint must be bit-identical to the uninterrupted
 run.
@@ -112,9 +112,9 @@ class CheckpointFaults:
 class StallFaults:
     """Injected stage stalls: sleep ``delay`` seconds before the stage.
 
-    Long enough relative to a configured ``watchdog_timeout``, a stall
-    converts into a :class:`~repro.errors.StageTimeoutError` on the
-    pipelined executor; without a watchdog it is only a slowdown.
+    Longer than a configured ``watchdog_timeout``, a stall converts into
+    a :class:`~repro.errors.StageTimeoutError` at the session's stage
+    boundary; without a watchdog it is only a slowdown.
     """
 
     delay: float = 0.25

@@ -59,7 +59,7 @@ FAULT_PLANS: dict[str, FaultPlan] = {
         map_errors=StageFaults(probability=0.5, window=Window(0.7, 1.0), max_fires=1),
     ),
     # A stalled map stage: with a watchdog armed this becomes a
-    # StageTimeoutError on the pipelined executor; otherwise a slowdown.
+    # StageTimeoutError at the stage boundary; otherwise a slowdown.
     # The delay is sized well above a legitimate small-config stage
     # (~0.1s) so a watchdog a few times the stage time still separates
     # stall from work cleanly.

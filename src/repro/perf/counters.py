@@ -3,8 +3,8 @@
 Counters accumulate named integer/float quantities (SAD evaluations,
 blended pairs, frames processed, ...) with dictionary-add overhead — cheap
 enough to leave enabled inside per-frame loops.  Updates are guarded by a
-lock so concurrent stages (the pipelined session executor, service worker
-merges) never lose increments to interleaved read-modify-write cycles.
+lock so concurrent writers (``run_many`` worker merges, serving drain
+threads) never lose increments to interleaved read-modify-write cycles.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ ROBUSTNESS_COUNTERS = (
     "session.frames_degraded",
     "session.tracking_fallbacks",
     "session.relocalizations",
-    "session.pipeline_stalls",
     "session.watchdog_timeouts",
     "service.retries",
     "service.recoveries",
@@ -91,27 +90,35 @@ def build_report(recorder, extra: dict | None = None) -> dict:
     return report
 
 
+def _section_label(path: str, timers: dict) -> str:
+    """The indented label ``format_report`` prints for timer ``path``.
+
+    Strips the longest timed ancestor so nested sections show only their
+    relative path, and indents one level per timed ancestor.
+    """
+    label, depth = path, 0
+    parent = path
+    while "/" in parent:
+        parent = parent.rpartition("/")[0]
+        if parent in timers:
+            if depth == 0:
+                label = path[len(parent) + 1 :]
+            depth += 1
+    return "  " * depth + label
+
+
 def format_report(recorder, title: str = "perf report") -> str:
     """Render a recorder as an aligned text table, indented by nesting."""
     timers = recorder.timers.as_dict()
     counters = recorder.counters.as_dict()
     lines = [title, "-" * len(title)]
     if timers:
-        name_width = max(len(path) + 2 * path.count("/") for path in timers) + 2
+        labels = {path: _section_label(path, timers) for path in timers}
+        name_width = max(len(label) for label in ["section", *labels.values()]) + 2
         lines.append(f"{'section'.ljust(name_width)}{'total':>10}  {'calls':>7}  {'mean':>10}")
         for path, stats in timers.items():
-            # Strip the longest timed ancestor so nested sections show only
-            # their relative path; indent one level per stripped ancestor.
-            label, depth = path, 0
-            parent = path
-            while "/" in parent:
-                parent = parent.rpartition("/")[0]
-                if parent in timers:
-                    if depth == 0:
-                        label = path[len(parent) + 1 :]
-                    depth += 1
             lines.append(
-                f"{('  ' * depth + label).ljust(name_width)}{stats['total_seconds']:>9.4f}s  "
+                f"{labels[path].ljust(name_width)}{stats['total_seconds']:>9.4f}s  "
                 f"{stats['calls']:>7d}  {stats['mean_seconds'] * 1e3:>8.3f}ms"
             )
     else:

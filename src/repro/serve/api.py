@@ -146,14 +146,31 @@ def result_to_payload(result: SlamResult) -> dict:
     }
 
 
+# The JSON-configurable build_session knobs a ``POST /sessions`` spec may
+# set.  In-process objects (perf recorders) and server-side policy
+# (watchdog) are not the client's to choose.
+SESSION_SPEC_FIELDS = (
+    "tracking_iterations",
+    "mapping_iterations",
+    "iter_t",
+    "thresh_m",
+    "thresh_n",
+    "enable_mat",
+    "enable_gcm",
+    "fallbacks",
+)
+
+
 def default_session_factory(spec: dict):
     """Build a zero-arg session factory from a ``POST /sessions`` spec.
 
     ``spec`` must name the ``algorithm`` and the camera geometry
-    (``width``, ``height``, optional ``fov_x_deg``); every remaining key
-    is forwarded to :func:`repro.eval.service.build_session` (iteration
-    budgets, AGS knobs, execution mode, ...).  Imported lazily: the
-    service layer itself depends on :mod:`repro.serve.registry`.
+    (``width``, ``height``, optional ``fov_x_deg``); the remaining keys
+    must be among :data:`SESSION_SPEC_FIELDS` and are forwarded to
+    :func:`repro.eval.service.build_session`.  Any other key raises
+    :class:`ValueError` here, before the registry is touched, which the
+    server answers with 400.  Imported lazily: the service
+    layer itself depends on :mod:`repro.serve.registry`.
     """
     from repro.eval.service import build_session
     from repro.gaussians.camera import Intrinsics
@@ -167,6 +184,11 @@ def default_session_factory(spec: dict):
     except KeyError as exc:
         raise ValueError(f"session spec is missing {exc.args[0]!r}") from None
     fov_x_deg = float(spec.pop("fov_x_deg", 75.0))
+    unknown = sorted(set(spec) - set(SESSION_SPEC_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown session spec key(s) {unknown}; expected among {SESSION_SPEC_FIELDS}"
+        )
     intrinsics = Intrinsics.from_fov(width, height, fov_x_deg)
     return lambda: build_session(algorithm, intrinsics, **spec)
 

@@ -392,7 +392,6 @@ class DroidLiteSlam(SessionRunner):
         intrinsics: Intrinsics,
         config: DroidLiteConfig | None = None,
         perf: PerfRecorder | None = None,
-        execution: str = "sequential",
         watchdog_timeout: float | None = None,
     ) -> None:
         self.config = config or DroidLiteConfig()
@@ -400,7 +399,6 @@ class DroidLiteSlam(SessionRunner):
             intrinsics,
             collect_trace=False,
             perf=perf,
-            execution=execution,
             watchdog_timeout=watchdog_timeout,
         )
         self.tracker = DroidLiteTracker(intrinsics, self.config)

@@ -160,7 +160,7 @@ def test_watchdog_converts_stall_and_recovers(clean_results):
         watchdog_timeout=0.8,
         retry=RetryPolicy(max_retries=6),
     )
-    result = service.run(_key("splatam", faults="map-stall", execution="pipelined"))
+    result = service.run(_key("splatam", faults="map-stall"))
     assert_results_identical(clean_results["splatam"], result)
     counters = service.perf.counters.as_dict()
     assert counters.get("session.watchdog_timeouts", 0) >= 1

@@ -118,6 +118,30 @@ def test_build_and_format_report():
     assert "stage" in text and "ops" in text
 
 
+def test_format_report_sizes_section_column_from_rendered_labels():
+    # Deep nesting: full timer paths are far longer than the indented
+    # relative labels the table prints.
+    recorder = PerfRecorder()
+    with recorder.section("eval_ags_desk"):
+        with recorder.section("session_feed"):
+            with recorder.section("ags_tracking"):
+                with recorder.section("fine_refinement"):
+                    with recorder.section("raster_render"):
+                        pass
+    lines = format_report(recorder).splitlines()
+    header = lines[2]
+    width = header.index("total") - 5  # "total" is right-aligned in 10 columns
+    labels = [line[:width].rstrip() for line in lines[3:8]]
+    assert labels == [
+        "eval_ags_desk",
+        "  session_feed",
+        "    ags_tracking",
+        "      fine_refinement",
+        "        raster_render",
+    ]
+    assert width == max(len(label) for label in labels) + 2
+
+
 def test_write_json_report_round_trips(tmp_path):
     recorder = PerfRecorder()
     with recorder.section("a"):

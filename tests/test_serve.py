@@ -39,6 +39,7 @@ from repro.serve import (
     SessionRegistry,
     ShardedRegistry,
     SlamClient,
+    SlamClientError,
     SlamServer,
     shard_index,
 )
@@ -257,11 +258,8 @@ def test_registry_concurrent_touch_evict_hammer(tiny_sequence):
 # Park/resume bit-identity matrix (cross-registry == cross-shard)
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", SYSTEMS)
-@pytest.mark.parametrize("execution", ["sequential", "pipelined"])
-def test_cross_registry_park_resume_is_bit_identical(
-    tmp_path, tiny_sequence, algorithm, execution
-):
-    factory = _factory(algorithm, tiny_sequence.intrinsics, execution=execution)
+def test_cross_registry_park_resume_is_bit_identical(tmp_path, tiny_sequence, algorithm):
+    factory = _factory(algorithm, tiny_sequence.intrinsics)
     first = SessionRegistry(max_live=2, park_root=tmp_path / "lot")
     session = first.open(
         algorithm, factory, sequence_name=tiny_sequence.name
@@ -460,6 +458,19 @@ def test_http_errors_map_to_status_codes(tiny_sequence):
             client._request("POST", "/sessions", b"not json", "application/json")
         with pytest.raises(RuntimeError, match="404"):
             client._request("POST", "/nowhere", b"{}", "application/json")
+
+
+@pytest.mark.parametrize("key", ["bogus_knob", "execution", "watchdog_timeout", "perf"])
+def test_unknown_session_spec_key_is_a_400_and_leaves_no_entry(tiny_sequence, key):
+    width, height = tiny_sequence.intrinsics.width, tiny_sequence.intrinsics.height
+    with SlamServer(num_shards=1, max_live=2) as server:
+        client = SlamClient(server.address)
+        with pytest.raises(SlamClientError, match=key) as excinfo:
+            client.create_session("cam", "orb", width, height, **{key: 1})
+        assert excinfo.value.code == 400
+        assert client.sessions() == {"live": [], "parked": []}
+        # The server is still answering: the same id now opens cleanly.
+        assert client.create_session("cam", "orb", width, height, **CHEAP)["created"]
 
 
 # ---------------------------------------------------------------------------
