@@ -10,8 +10,15 @@ target).  Before timing anything, the two configurations are verified
 bit-identical — images, contribution statistics and fused backward
 gradients — so the recorded speedup is provably a pure win.
 
-The results (timings, speedups and the per-scene pair-reduction table) go
-to the ``BENCH_culling.json`` perf-trajectory file at the repo root.
+The pixel-reduction table records the second, sub-tile culling stage:
+the share of the retained pairs' (pair, pixel) entries that lie outside
+their active-pixel intervals (computed by workload-recording renders).
+That is the workload reduction the hardware models consume as sub-tile
+skipping; the NumPy engine itself computes the dense lattice.
+
+The results (timings, speedups and the per-scene pair- and
+pixel-reduction tables) go to the ``BENCH_culling.json`` perf-trajectory
+file at the repo root.
 
 Usage::
 
@@ -102,9 +109,10 @@ def _verify_bit_identity(model, camera, grad_color, grad_depth) -> None:
             raise SystemExit(f"bit-identity violated on gradient {name}")
 
 
-def bench_culling(repeats: int) -> tuple[dict[str, float], dict[str, dict]]:
+def bench_culling(repeats: int) -> tuple[dict[str, float], dict[str, dict], dict[str, dict]]:
     timings: dict[str, float] = {}
     reductions: dict[str, dict] = {}
+    pixel_reductions: dict[str, dict] = {}
     for count in MODEL_SIZES:
         label = f"n{count}"
         model, camera, grad_color, grad_depth = _scene(count)
@@ -116,6 +124,12 @@ def bench_culling(repeats: int) -> tuple[dict[str, float], dict[str, dict]]:
             "pairs_culled": grid.pairs_culled,
             "pairs_kept": grid.pairs_total - grid.pairs_culled,
             "culled_fraction": round(grid.pairs_culled / max(grid.pairs_total, 1), 4),
+        }
+        pixel_reductions[label] = {
+            "pixels_total": grid.pixels_total,
+            "pixels_culled": grid.pixels_culled,
+            "pixels_kept": grid.pixels_total - grid.pixels_culled,
+            "culled_fraction": round(grid.pixels_culled / max(grid.pixels_total, 1), 4),
         }
 
         for tag, modes in (("aabb", LEGACY), ("precise", PRECISE)):
@@ -139,11 +153,11 @@ def bench_culling(repeats: int) -> tuple[dict[str, float], dict[str, dict]]:
                 )
 
             timings[f"culling.{label}.iteration.{tag}"] = best_of(one_iteration, repeats)
-    return timings, reductions
+    return timings, reductions, pixel_reductions
 
 
 def build_results(repeats: int) -> dict:
-    timings, reductions = bench_culling(repeats)
+    timings, reductions, pixel_reductions = bench_culling(repeats)
 
     speedups = {}
     for count in MODEL_SIZES:
@@ -159,6 +173,11 @@ def build_results(repeats: int) -> dict:
         # backward iteration at the densest bench scene.
         "culling.n800.iteration >= 1.2x": speedups["culling.n800.iteration"] >= 1.2,
         "culling.n800 culls >= 25% of pairs": reductions["n800"]["culled_fraction"] >= 0.25,
+        # The sub-tile intervals remove a large share of the retained
+        # pairs' pixel entries on the mixed-opacity scene.
+        "culling.n800 culls >= 40% of sub-tile pixels": (
+            pixel_reductions["n800"]["culled_fraction"] >= 0.40
+        ),
     }
     return {
         "benchmark": "culling",
@@ -172,6 +191,7 @@ def build_results(repeats: int) -> dict:
         "timings_seconds": {key: timings[key] for key in sorted(timings)},
         "speedups": {key: round(value, 2) for key, value in sorted(speedups.items())},
         "pair_reduction": reductions,
+        "pixel_reduction": pixel_reductions,
         "targets_met": targets,
     }
 
@@ -207,6 +227,14 @@ def main(argv=None) -> int:
         print(
             f"  {label:<8}{row['pairs_total']:>20}{row['pairs_kept']:>10}"
             f"{row['pairs_culled']:>10}{row['culled_fraction']:>9.1%}"
+        )
+    print("pixel reduction (sub-tile intervals of the retained pairs):")
+    header = f"  {'scene':<8}{'pair pixels':>14}{'kept':>10}{'culled':>10}{'fraction':>10}"
+    print(header)
+    for label, row in results["pixel_reduction"].items():
+        print(
+            f"  {label:<8}{row['pixels_total']:>14}{row['pixels_kept']:>10}"
+            f"{row['pixels_culled']:>10}{row['culled_fraction']:>9.1%}"
         )
     for target, met in results["targets_met"].items():
         print(f"  target {target}: {'MET' if met else 'MISSED'}")

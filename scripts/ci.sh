@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: repo hygiene, the tier-1 test suite, the smoke lanes,
 # an end-to-end correctness smoke and the hot-path perf gate (which
-# includes the pair-culling bench).
+# includes the pair-culling bench and its sub-tile pixel-reduction
+# target).
 #
 #   scripts/ci.sh          # hygiene + tier-1 tests + scripts/bench_speed.sh
 #   scripts/ci.sh --slow   # additionally run the weekly `pytest -m slow`

@@ -27,7 +27,7 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
   ``tests/test_rasterizer_bucketed_stats.py``).
 * ``render(..., cache=ForwardCache())`` additionally retains the
   per-bucket blending intermediates; ``render_backward`` (default
-  ``backend="auto"``) then consumes them with bucketed einsum /
+  ``backend="bucketed"``) then consumes them with bucketed einsum /
   ``bincount`` accumulation instead of re-running the forward per tile —
   the fused forward/backward path tracking and mapping run on.
   ``render_backward(..., backend="reference")`` keeps the per-tile
@@ -44,26 +44,18 @@ Rendering hot-path knobs (``render`` / ``render_backward``):
   tables (``tests/test_pair_culling.py``); only the workload shrinks
   (``TileGrid.pairs_total`` / ``pairs_culled``, also emitted as
   ``raster.pairs_*`` perf counters via ``render(..., perf=)``).
-* ``render(..., sparsity="pixel")`` (the default) extends the sparse
-  engine below the tile: every retained pair carries a conservative
+* A workload-recording render (``record_workloads=True``) also measures
+  the sub-tile workload: every retained pair carries a conservative
   active row/column interval from closed-form conic strip minima (the
   same math as the tile-rectangle cull, applied per pixel strip, with a
-  spectral-bound full-tile fast path).  The bucketed engine counts only
-  interval entries as ``pairs_computed``, records
-  ``TileGrid.pixels_total`` / ``pixels_culled`` (emitted as
-  ``raster.pixels_*`` counters), and switches forward + fused backward
-  to a masked row-segment schedule when a chunk is sparse enough to win.
-  ``sparsity="tile"`` keeps the tile-granular lattices.  Images, integer
-  contribution statistics and gradients are bit-identical across both
-  modes and both schedules (``tests/test_pixel_sparsity.py``); the
-  pixel-level workload reduction also feeds the hardware simulators
+  spectral-bound full-tile fast path).  Only interval entries count as
+  ``pairs_computed``, and ``TileGrid.pixels_total`` / ``pixels_culled``
+  (emitted as ``raster.pixels_*`` counters) feed the hardware simulators
   (``hw.pixels_total`` / ``hw.pixels_culled``, GSCore's measured
-  sub-tile skipping).
-* ``ForwardCache(dtype=np.float32)`` stores the retained blending
-  intermediates in single precision (~25 % less pool memory, images
-  unchanged, ~1e-7 relative gradient deviation — see the ``-m slow``
-  accuracy study); the default float64 keeps the fused backward
-  bit-for-bit independent of caching.
+  sub-tile skipping).  The intervals are accounting only — the bucketed
+  engine computes the dense padded lattice either way, so images,
+  statistics and gradients are bit-identical with or without them
+  (``tests/test_pixel_sparsity.py``); stats-free renders skip them.
 
 ``GaussianModel.alphas`` memoizes the sigmoid of the opacity logits,
 :class:`repro.gaussians.scratch.ScratchPool` provides the reusable

@@ -54,7 +54,7 @@ from repro.perf import NULL_RECORDER, PerfRecorder
 
 __all__ = ["GaussianGradients", "PoseGradients", "render_backward"]
 
-_BACKWARD_BACKENDS = ("auto", "bucketed", "reference")
+_BACKWARD_BACKENDS = ("bucketed", "reference")
 
 
 @dataclasses.dataclass
@@ -439,46 +439,17 @@ def _accumulate_bucketed(
 
         # Pixel offsets d = pixel - mean2d, retained by the forward pass
         # (the cache trades two more arrays for skipping this rebuild on
-        # every backward call).  Masked pixel-sparse chunks retain them
-        # *compressed* over the active row blocks only — ``dx`` per entry
-        # as (S, tile_w), ``dy`` per row segment as (S,) — and the per-
-        # (tile, Gaussian) pixel sums below then run on that flat entry
-        # list via ``bincount``, which — like ``einsum`` — accumulates
-        # each bin strictly sequentially in entry order (ascending pixel
-        # within a pair).  Entries outside the blocks carry an exactly-
-        # zero dl/dpower (their alpha is an exact zero), so dropping them
-        # from the sums leaves every gradient bit-identical to the dense
-        # reduction.
+        # every backward call).  dpower/dmean2d = A @ d: per-Gaussian pixel
+        # sums of dL/dpower * d, contracted with the (symmetric) conic
+        # outside the pixel sum.
+        dx = chunk.dx
+        dy = chunk.dy
+        sum_x = np.einsum("tpg,tpg->tg", dl_dpower, dx)
+        sum_y = np.einsum("tpg,tpg->tg", dl_dpower, dy)
         d_conic = np.empty((num_tiles, padded, 2, 2))
-        if chunk.active is not None:
-            dl_flat = dl_dpower.reshape(-1)[chunk.active]
-            tg = chunk.active_tg
-            bins = num_tiles * padded
-
-            def _tg_sum(vals: np.ndarray) -> np.ndarray:
-                return np.bincount(
-                    tg, weights=vals.reshape(-1), minlength=bins
-                ).reshape(num_tiles, padded)
-
-            seg_dy = chunk.dy[:, None]
-            prod_x = dl_flat * chunk.dx
-            prod_y = dl_flat * seg_dy
-            sum_x = _tg_sum(prod_x)
-            sum_y = _tg_sum(prod_y)
-            d_conic[..., 0, 0] = _tg_sum(prod_x * chunk.dx)
-            d_conic[..., 0, 1] = _tg_sum(prod_x * seg_dy)
-            d_conic[..., 1, 1] = _tg_sum(prod_y * seg_dy)
-        else:
-            dx = chunk.dx
-            dy = chunk.dy
-            # dpower/dmean2d = A @ d: per-Gaussian pixel sums of
-            # dL/dpower * d, contracted with the (symmetric) conic outside
-            # the pixel sum.
-            sum_x = np.einsum("tpg,tpg->tg", dl_dpower, dx)
-            sum_y = np.einsum("tpg,tpg->tg", dl_dpower, dy)
-            d_conic[..., 0, 0] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dx)
-            d_conic[..., 0, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dy)
-            d_conic[..., 1, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dy, dy)
+        d_conic[..., 0, 0] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dx)
+        d_conic[..., 0, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dx, dy)
+        d_conic[..., 1, 1] = np.einsum("tpg,tpg,tpg->tg", dl_dpower, dy, dy)
         c00 = conic00[ids]
         c01 = conic01[ids]
         c11 = conic11[ids]
@@ -525,7 +496,7 @@ def render_backward(
     grad_depth: np.ndarray | None = None,
     grad_silhouette: np.ndarray | None = None,
     compute_pose_gradient: bool = False,
-    backend: str = "auto",
+    backend: str = "bucketed",
     perf: PerfRecorder | None = None,
 ) -> tuple[GaussianGradients, PoseGradients | None]:
     """Back-propagate image-space gradients to Gaussian and pose parameters.
@@ -538,7 +509,7 @@ def render_backward(
         grad_depth: optional (H, W) gradient w.r.t. the rendered depth.
         grad_silhouette: optional (H, W) gradient w.r.t. the silhouette.
         compute_pose_gradient: also compute the camera-pose gradient.
-        backend: ``"auto"`` / ``"bucketed"`` use the bucketed accumulator
+        backend: ``"bucketed"`` (default) uses the bucketed accumulator
             (reusing ``result.forward_cache`` when it is still valid,
             rebuilding the intermediates once otherwise); ``"reference"``
             runs the original per-tile loop.

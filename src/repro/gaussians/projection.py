@@ -74,8 +74,9 @@ def conic_strip_min(a00, a01, a11, c, lo, hi, fixed: str = "x"):
 
     This single closed form is the whole sparse-culling geometry: the
     tile-rectangle minimum (PR 5's pair cull) is the least of the four
-    edge strips, and the per-row/per-column strip minima (pixel-level
-    sparsity) are the same expression evaluated per pixel row/column.
+    edge strips, and the per-row/per-column strip minima (the sub-tile
+    active-pixel intervals) are the same expression evaluated per pixel
+    row/column.
     """
     # np.minimum/np.maximum instead of np.clip (identical results, including
     # NaN propagation) — clip dispatches noticeably slower on small arrays.

@@ -15,14 +15,22 @@ Two execution backends share the same semantics:
 
 * ``backend="bucketed"`` (the default) groups non-empty tiles into padded
   size buckets and renders each bucket as one vectorized 3-D pass over
-  ``(tiles, pixels, gaussians)``.  It serves every combination of the
-  statistics flags, and can additionally retain the per-bucket blending
-  intermediates in a :class:`ForwardCache` so the backward pass
+  the dense ``(tiles, pixels, gaussians)`` lattice — its only schedule.
+  It serves every combination of the statistics flags, and can
+  additionally retain the per-bucket blending intermediates in a
+  :class:`ForwardCache` so the backward pass
   (:func:`repro.gaussians.gradients.render_backward`) reuses them instead
   of re-running the forward per tile.
 * ``backend="reference"`` is the original per-tile loop built on
   :func:`tile_forward` — the executable specification the bucketed engine
   is property-tested against (``tests/test_rasterizer_bucketed_stats.py``).
+
+Per-pair active-pixel intervals (see :mod:`repro.gaussians.tiles`) are
+workload accounting, not a schedule: a render that records workloads has
+the tile assignment compute them, counts only in-interval entries as
+``pairs_computed`` and reports the sub-tile culling to the hardware
+models; stats-free renders skip them.  Either way the lattice computed
+is the same, so images, statistics and gradients do not depend on them.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from repro.gaussians.projection import (
 from repro.gaussians.scratch import ScratchPool, scatter_add
 from repro.gaussians.tiles import (
     CULL_MODES,
-    SPARSITY_MODES,
     TILE_SIZE,
     GaussianTable,
     TileGrid,
@@ -54,7 +61,6 @@ __all__ = [
     "ALPHA_MAX",
     "DEFAULT_CULL_MODE",
     "DEFAULT_RADIUS_MODE",
-    "DEFAULT_SPARSITY_MODE",
     "TRANSMITTANCE_EPS",
     "ForwardCache",
     "RasterizationResult",
@@ -82,24 +88,6 @@ _RENDER_BACKENDS = ("bucketed", "reference")
 # Gaussian tables every downstream engine iterates over.
 DEFAULT_RADIUS_MODE = "opacity"
 DEFAULT_CULL_MODE = "precise"
-# Default within-tile sparsity: ``"pixel"`` attaches a conservative
-# active-pixel interval to every retained (tile, Gaussian) pair (see
-# :func:`repro.gaussians.tiles.assign_tiles`), and the bucketed engine
-# evaluates / differentiates only those entries.  Exact like the pair
-# culling: images, statistics and gradients are bit-identical to
-# ``sparsity="tile"``.
-DEFAULT_SPARSITY_MODE = "pixel"
-
-# The masked (gather/scatter) pixel-sparse compute path wins when the
-# active fraction of a chunk's (tile, pixel, gaussian) lattice is low;
-# near-dense chunks fall back to the straight dense kernels, which carry
-# no indexing overhead.  Both paths produce bit-identical outputs — the
-# threshold only selects the faster execution schedule, never semantics.
-# On this NumPy backend the row-segment gathers/scatters plus the bincount
-# gradient reductions cost roughly 2-3x the dense per-element stream, so
-# masked execution only pays off once >~70 % of the padded lattice is
-# culled (measured crossover on the bench scenes; near-dense chunks lose).
-_SPARSE_DENSITY_FALLBACK = 0.30
 
 
 @dataclasses.dataclass
@@ -131,17 +119,6 @@ class _CachedChunk:
     :class:`ForwardCache`'s scratch pool; padding entries carry zero
     opacity and therefore zero ``alpha`` / ``weights``, so the backward
     accumulation needs no padding mask (their gradient terms vanish).
-
-    When the chunk was rendered through the masked pixel-sparse path, the
-    computed entries are the full active *rows* of every pair's interval:
-    ``active`` holds their flat lattice indices as an (S, tile_w) block
-    (one row segment per line), ``active_tg`` the per-entry flat (tile,
-    Gaussian) index ``t * G + g``, ``dx`` the (S, tile_w) offsets and
-    ``dy`` the per-segment (S,) offsets (constant along a pixel row); the
-    backward's mean/conic reductions then touch only those entries.
-    ``active is None`` means the chunk was rendered dense (tile sparsity,
-    or the density fallback) and ``dx`` / ``dy`` are the full (T, P, G)
-    lattices.
     """
 
     tile_indices: np.ndarray  # (T,) flat tile indices in the grid
@@ -157,10 +134,8 @@ class _CachedChunk:
     t_before: np.ndarray  # (T, P, G) exclusive transmittances
     weights: np.ndarray  # (T, P, G) blending weights T * alpha
     clamped: np.ndarray  # (T, P, G) bool: raw alpha exceeded ALPHA_MAX
-    dx: np.ndarray  # (T, P, G) — or (S, tile_w) compressed — pixel-minus-mean x offsets
-    dy: np.ndarray  # (T, P, G) — or (S,) per-segment — pixel-minus-mean y offsets
-    active: np.ndarray | None = None  # (S, tile_w) flat indices into (T*P*G,)
-    active_tg: np.ndarray | None = None  # (S * tile_w,) flat (tile, Gaussian) index t*G+g
+    dx: np.ndarray  # (T, P, G) pixel-minus-mean x offsets
+    dy: np.ndarray  # (T, P, G) pixel-minus-mean y offsets
 
 
 class ForwardCache:
@@ -177,28 +152,17 @@ class ForwardCache:
     :class:`RasterizationResult` — together with the radius/cull mode tag
     of the tile grid that produced it — and the backward pass rebuilds the
     intermediates when the stamps disagree rather than silently reading
-    overwritten buffers.
-
-    ``dtype`` selects the *storage* precision of the retained per-pair
-    arrays (``alpha`` / ``t_before`` / ``weights`` / ``dx`` / ``dy`` /
-    opacities).  ``ForwardCache(dtype=np.float32)`` halves those retained
-    arrays (~25 % less pool memory end-to-end, since the chunk-sized
-    compute scratch stays full precision) while the forward render still
-    computes and composites in its own dtype — images are unchanged.  The
-    fused backward then reads float32 intermediates, which perturbs
-    gradients at the ~1e-7 relative level (measured by the ``-m slow``
-    accuracy study in ``tests/test_pair_culling.py``).  The default
-    (``None``) stores in the forward compute dtype — float64 — which
-    keeps the backward bit-for-bit independent of caching.
+    overwritten buffers.  Intermediates are stored in the forward compute
+    dtype, which keeps the fused backward bit-for-bit independent of
+    caching.
     """
 
-    def __init__(self, pool: ScratchPool | None = None, dtype=None) -> None:
+    def __init__(self, pool: ScratchPool | None = None) -> None:
         self.pool = pool or ScratchPool()
         self.chunks: list[_CachedChunk] = []
         self.height = 0
         self.width = 0
         self.dtype: np.dtype | None = None
-        self.store_dtype: np.dtype | None = None if dtype is None else np.dtype(dtype)
         self.mode = ""
         self.generation = 0
 
@@ -492,18 +456,9 @@ def _render_bucketed(
     if cache is not None:
         cache.begin(height, width, dtype, mode=getattr(tile_grid, "mode_tag", ""))
         pool = cache.pool
-        store_dtype = cache.store_dtype or dtype
-        # When the cache stores a narrower dtype than the compute dtype,
-        # the blending runs in transient full-precision buffers (so the
-        # composited images are unchanged) and each chunk's intermediates
-        # are down-cast into the persistent cache buffers afterwards.
-        cast_store = store_dtype != dtype
     else:
         pool = ScratchPool()
-        store_dtype = dtype
-        cast_store = False
     eps = dtype.type(TRANSMITTANCE_EPS)
-    pixel_sparse = getattr(tile_grid, "sparsity", "tile") == "pixel"
 
     chunk_index = 0
     for (tile_w, tile_h, padded), tables in _bucket_tables(tile_grid).items():
@@ -515,7 +470,7 @@ def _render_bucketed(
             num_tiles = len(chunk)
 
             ids = np.zeros((num_tiles, padded), dtype=np.int64)
-            if cache is not None and not cast_store:
+            if cache is not None:
                 opac = np.zeros((num_tiles, padded), dtype=dtype)
             else:
                 opac = pool.take("opac", (num_tiles, padded), dtype)
@@ -524,10 +479,12 @@ def _render_bucketed(
             tile_indices = np.empty(num_tiles, dtype=np.int64)
             origin_x = np.empty(num_tiles, dtype=np.int64)
             origin_y = np.empty(num_tiles, dtype=np.int64)
+            # Active-pixel intervals (r0, r1, c0, c1) of every pair, read
+            # only for the workload accounting; a grid carries them on every
+            # non-empty table or on none.  Zero-filled padding entries
+            # contribute empty intervals.
             iv = None
-            if pixel_sparse:
-                # Active-pixel intervals (r0, r1, c0, c1) of every pair;
-                # zero-filled padding entries contribute empty intervals.
+            if record_workloads and chunk[0].intervals is not None:
                 iv = pool.take("iv", (num_tiles, padded, 4), np.int64)
                 iv[...] = 0
             for slot, table in enumerate(chunk):
@@ -538,7 +495,7 @@ def _render_bucketed(
                 tile_indices[slot] = table.tile_y * tile_grid.tiles_x + table.tile_x
                 origin_x[slot] = table.tile_x * tile_grid.tile_size
                 origin_y[slot] = table.tile_y * tile_grid.tile_size
-                if iv is not None and table.intervals is not None:
+                if iv is not None:
                     iv[slot, : len(table_ids)] = table.intervals
 
             # Pixel centers (tiles, pixels) and flat image indices.
@@ -548,159 +505,51 @@ def _render_bucketed(
                           + origin_x[:, None] + col_off[None, :]).reshape(-1)
 
             shape = (num_tiles, num_pixels, padded)
-            active = active_tg = e_dx = e_dy = None
-            use_masked = False
-            if pixel_sparse:
-                row_counts = (iv[:, :, 1] - iv[:, :, 0]).reshape(-1)
-                num_segments = int(row_counts.sum())
-                total_active = num_segments * tile_w
-                use_masked = total_active <= _SPARSE_DENSITY_FALLBACK * (num_tiles * num_pixels * padded)
-
-            if use_masked:
-                # Masked pixel-sparse path: enumerate the *active rows* of
-                # every pair's interval as (segment, column) blocks — the
-                # excluded rows provably never reach ALPHA_MIN — evaluate
-                # alpha on the (segments, tile_w) block with the exact
-                # op/association order of the dense kernels below, and
-                # scatter into a zero-filled dense alpha lattice —
-                # compositing, early termination and statistics then run
-                # unchanged, so outputs stay bit-identical.  Row blocks
-                # keep the per-entry bookkeeping at the segment level:
-                # ``dy`` (and everything derived from it alone) is constant
-                # along a pixel row, and the per-entry flat indices are a
-                # single broadcast add away from the per-segment bases.
-                r0 = iv[:, :, 0].reshape(-1)
-                starts = np.cumsum(row_counts) - row_counts
-                seg_tg = np.repeat(np.arange(num_tiles * padded, dtype=np.int64), row_counts)
-                seg_row = np.arange(num_segments, dtype=np.int64)
-                seg_row -= np.repeat(starts - r0, row_counts)
-                tile_slot = seg_tg // padded
-                gcol = seg_tg - tile_slot * padded
-                gids = ids.reshape(-1)[seg_tg]
-                base = (tile_slot * num_pixels + seg_row * tile_w) * padded + gcol
-                active = base[:, None] + np.arange(tile_w, dtype=np.int64)[None, :] * padded
-                active_tg = np.repeat(seg_tg, tile_w)
-
-                sshape = (num_segments, tile_w)
-                if cache is not None and not cast_store:
-                    # Retained compressed for the fused backward pass
-                    # (``dy`` at segment granularity).
-                    e_dx = pool.take(f"cache.dx.{chunk_index}", sshape, dtype)
-                    e_dy = pool.take(f"cache.dy.{chunk_index}", (num_segments,), dtype)
-                else:
-                    e_dx = pool.take("entry.dx", sshape, dtype)
-                    e_dy = pool.take("entry.dy", (num_segments,), dtype)
-                e_power = pool.take("entry.power", sshape, dtype)
-                e_cross = pool.take("entry.cross", sshape, dtype)
-                cols = np.arange(tile_w, dtype=np.int64)
-                np.subtract(
-                    (origin_x[tile_slot][:, None] + cols[None, :] + 0.5).astype(dtype),
-                    means_x[gids][:, None],
-                    out=e_dx,
-                )
-                np.subtract(
-                    (origin_y[tile_slot] + seg_row + 0.5).astype(dtype),
-                    means_y[gids],
-                    out=e_dy,
-                )
-                np.multiply(e_dx, e_dx, out=e_power)
-                np.multiply(conic00[gids][:, None], e_power, out=e_power)
-                np.multiply((dtype.type(2.0) * conic01[gids])[:, None], e_dx, out=e_cross)
-                np.multiply(e_cross, e_dy[:, None], out=e_cross)
-                np.add(e_power, e_cross, out=e_power)
-                seg_cross = e_dy * e_dy
-                np.multiply(conic11[gids], seg_cross, out=seg_cross)
-                np.add(e_power, seg_cross[:, None], out=e_power)
-                np.multiply(e_power, dtype.type(-0.5), out=e_power)
-                np.minimum(e_power, dtype.type(0.0), out=e_power)
-                e_alpha = np.exp(e_power, out=e_power)
-                np.multiply(opac.reshape(-1)[seg_tg][:, None], e_alpha, out=e_alpha)
-
-                e_clamped = None
-                if cache is not None:
-                    e_clamped = pool.take("entry.clamped", sshape, np.bool_)
-                    np.greater(e_alpha, dtype.type(ALPHA_MAX), out=e_clamped)
-                np.minimum(e_alpha, dtype.type(ALPHA_MAX), out=e_alpha)
-                e_alpha[e_alpha < dtype.type(ALPHA_MIN)] = 0.0
-
-                # Scatter into the dense lattice; inactive entries are an
-                # exact zero in the dense path too, since the intervals are
-                # conservative supersets of the alpha >= ALPHA_MIN support.
-                if cache is not None and not cast_store:
-                    alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
-                    t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
-                    clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                    weights_out = pool.take(f"cache.weights.{chunk_index}", shape, dtype)
-                else:
-                    alpha = pool.take("power", shape, dtype)
-                    t_before = pool.take("t_before", shape, dtype)
-                    clamped = (
-                        pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                        if cache is not None
-                        else None
-                    )
-                    weights_out = pool.take("cross", shape, dtype)
-                alpha[...] = 0.0
-                alpha.reshape(-1)[active] = e_alpha
-                if clamped is not None:
-                    clamped[...] = False
-                    clamped.reshape(-1)[active] = e_clamped
-                one_minus_out = pool.take("one_minus", shape, dtype)
-                dx = dy = None
+            if cache is not None:
+                # The pixel offsets are retained for the fused backward
+                # pass (dpower/dmean and dpower/dconic both need them), so
+                # the backward skips recomputing them per chunk.
+                dx = pool.take(f"cache.dx.{chunk_index}", shape, dtype)
+                dy = pool.take(f"cache.dy.{chunk_index}", shape, dtype)
             else:
-                if cache is not None and not cast_store:
-                    # The pixel offsets are retained for the fused backward
-                    # pass (dpower/dmean and dpower/dconic both need them),
-                    # so the backward skips recomputing them per chunk.
-                    dx = pool.take(f"cache.dx.{chunk_index}", shape, dtype)
-                    dy = pool.take(f"cache.dy.{chunk_index}", shape, dtype)
-                else:
-                    dx = pool.take("dx", shape, dtype)
-                    dy = pool.take("dy", shape, dtype)
-                power = pool.take("power", shape, dtype)
-                cross = pool.take("cross", shape, dtype)
-                np.subtract(px[:, :, None], means_x[ids][:, None, :], out=dx)
-                np.subtract(py[:, :, None], means_y[ids][:, None, :], out=dy)
+                dx = pool.take("dx", shape, dtype)
+                dy = pool.take("dy", shape, dtype)
+            power = pool.take("power", shape, dtype)
+            cross = pool.take("cross", shape, dtype)
+            np.subtract(px[:, :, None], means_x[ids][:, None, :], out=dx)
+            np.subtract(py[:, :, None], means_y[ids][:, None, :], out=dy)
 
-                # power = -0.5 * (a00 dx^2 + 2 a01 dx dy + a11 dy^2), built
-                # with the same association order as tile_forward.
-                np.multiply(dx, dx, out=power)
-                np.multiply(conic00[ids][:, None, :], power, out=power)
-                np.multiply(dtype.type(2.0) * conic01[ids][:, None, :], dx, out=cross)
-                np.multiply(cross, dy, out=cross)
-                np.add(power, cross, out=power)
-                np.multiply(dy, dy, out=cross)
-                np.multiply(conic11[ids][:, None, :], cross, out=cross)
-                np.add(power, cross, out=power)
-                np.multiply(power, dtype.type(-0.5), out=power)
-                np.minimum(power, dtype.type(0.0), out=power)
+            # power = -0.5 * (a00 dx^2 + 2 a01 dx dy + a11 dy^2), built
+            # with the same association order as tile_forward.
+            np.multiply(dx, dx, out=power)
+            np.multiply(conic00[ids][:, None, :], power, out=power)
+            np.multiply(dtype.type(2.0) * conic01[ids][:, None, :], dx, out=cross)
+            np.multiply(cross, dy, out=cross)
+            np.add(power, cross, out=power)
+            np.multiply(dy, dy, out=cross)
+            np.multiply(conic11[ids][:, None, :], cross, out=cross)
+            np.add(power, cross, out=power)
+            np.multiply(power, dtype.type(-0.5), out=power)
+            np.minimum(power, dtype.type(0.0), out=power)
 
-                if cache is not None and not cast_store:
-                    alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
-                    np.exp(power, out=alpha)
-                    t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
-                    clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                    weights_out = pool.take(f"cache.weights.{chunk_index}", shape, dtype)
-                elif cache is not None:
-                    alpha = np.exp(power, out=power)
-                    t_before = pool.take("t_before", shape, dtype)
-                    clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
-                    # cross is dead after the power chain; dx/dy must
-                    # survive for the cast store.
-                    weights_out = cross
-                else:
-                    alpha = np.exp(power, out=power)
-                    t_before = pool.take("t_before", shape, dtype)
-                    clamped = None
-                    weights_out = dy
-                np.multiply(opac[:, None, :], alpha, out=alpha)
-                if clamped is not None:
-                    np.greater(alpha, dtype.type(ALPHA_MAX), out=clamped)
-                np.minimum(alpha, dtype.type(ALPHA_MAX), out=alpha)
-                alpha[alpha < dtype.type(ALPHA_MIN)] = 0.0
-                one_minus_out = (
-                    pool.take("one_minus", shape, dtype) if cache is not None else dx
-                )
+            if cache is not None:
+                alpha = pool.take(f"cache.alpha.{chunk_index}", shape, dtype)
+                np.exp(power, out=alpha)
+                t_before = pool.take(f"cache.t_before.{chunk_index}", shape, dtype)
+                clamped = pool.take(f"cache.clamped.{chunk_index}", shape, np.bool_)
+                weights_out = pool.take(f"cache.weights.{chunk_index}", shape, dtype)
+                one_minus_out = power  # dead after the exp above
+            else:
+                alpha = np.exp(power, out=power)
+                t_before = pool.take("t_before", shape, dtype)
+                clamped = None
+                weights_out = dy
+                one_minus_out = dx
+            np.multiply(opac[:, None, :], alpha, out=alpha)
+            if clamped is not None:
+                np.greater(alpha, dtype.type(ALPHA_MAX), out=clamped)
+            np.minimum(alpha, dtype.type(ALPHA_MAX), out=alpha)
+            alpha[alpha < dtype.type(ALPHA_MIN)] = 0.0
 
             one_minus = np.subtract(dtype.type(1.0), alpha, out=one_minus_out)
             np.cumprod(one_minus, axis=2, out=t_before)
@@ -746,13 +595,11 @@ def _render_bucketed(
                     blended = alpha > 0.0
                     computed = ~terminated
                     computed &= real[:, None, :]
-                    if pixel_sparse:
-                        # Pixel sparsity: only entries inside the rectangular
-                        # active interval count as evaluated — the workload
-                        # semantics, not the execution schedule (the masked
-                        # row-block schedule computes full active rows, the
-                        # fallback computes everything; both are schedules
-                        # over the same logical sparse workload).
+                    if iv is not None:
+                        # Only entries inside a pair's active interval count
+                        # as evaluated: the sub-tile workload a pixel-sparse
+                        # rasterizer executes (the hardware models consume
+                        # it); this engine computes the full lattice.
                         act = pool.take("act_mask", shape, np.bool_)
                         act_tmp = pool.take("act_tmp", shape, np.bool_)
                         np.greater_equal(row_off[None, :, None], iv[:, None, :, 0], out=act)
@@ -771,27 +618,6 @@ def _render_bucketed(
                         per_pixel_counts[int(tile_indices[slot])] = blended_per_pixel[slot]
 
             if cache is not None:
-                if cast_store:
-                    # Down-cast the blending intermediates into the
-                    # persistent (narrow-dtype) cache buffers; the images
-                    # above were composited from the full-precision ones.
-                    def _persist(name: str, src: np.ndarray, buf_shape) -> np.ndarray:
-                        buf = pool.take(f"cache.{name}.{chunk_index}", buf_shape, store_dtype)
-                        buf[...] = src
-                        return buf
-
-                    alpha = _persist("alpha", alpha, shape)
-                    t_before = _persist("t_before", t_before, shape)
-                    weights = _persist("weights", weights, shape)
-                    if use_masked:
-                        dx = _persist("dx", e_dx, e_dx.shape)
-                        dy = _persist("dy", e_dy, e_dy.shape)
-                    else:
-                        dx = _persist("dx", dx, shape)
-                        dy = _persist("dy", dy, shape)
-                    opac = opac.astype(store_dtype)
-                elif use_masked:
-                    dx, dy = e_dx, e_dy
                 cache.chunks.append(
                     _CachedChunk(
                         tile_indices=tile_indices,
@@ -809,8 +635,6 @@ def _render_bucketed(
                         clamped=clamped,
                         dx=dx,
                         dy=dy,
-                        active=active,
-                        active_tg=active_tg,
                     )
                 )
             chunk_index += 1
@@ -907,7 +731,6 @@ def render(
     cache: ForwardCache | None = None,
     radius: str | None = None,
     cull: str | None = None,
-    sparsity: str | None = None,
     perf=None,
 ) -> RasterizationResult:
     """Render ``model`` from ``camera``.
@@ -919,7 +742,11 @@ def render(
             entry are skipped entirely (AGS selective mapping).
         contribution_threshold: alpha threshold below which a Gaussian is
             counted as non-contributory for a pixel (paper's ThreshAlpha).
-        record_workloads: collect per-tile workload statistics.
+        record_workloads: collect per-tile workload statistics.  Also has
+            the tile assignment compute each pair's active-pixel interval
+            (see :func:`repro.gaussians.tiles.assign_tiles`), so that
+            ``pairs_computed`` counts only in-interval entries and the grid
+            reports the sub-tile workload the hardware models consume.
         tile_size: tile edge length in pixels.
         projection: optionally reuse a precomputed projection.
         tile_grid: optionally reuse a precomputed tile grid.
@@ -947,18 +774,10 @@ def render(
             rendered images, statistics and gradients are bit-identical
             across all four mode combinations; only the Gaussian tables
             (and the recorded workloads) shrink.
-        sparsity: within-tile sparsity mode, ``"pixel"`` (default) or
-            ``"tile"`` — see :func:`repro.gaussians.tiles.assign_tiles`.
-            ``"pixel"`` attaches a conservative active-pixel interval to
-            every retained pair; the bucketed engine (and fused backward)
-            then evaluates only the active (pair, pixel) entries.  Exact
-            like ``radius`` / ``cull``: images, statistics and gradients
-            are bit-identical across all eight knob combinations.
-            Ignored when ``tile_grid`` is supplied.
         perf: optional :class:`repro.perf.PerfRecorder`; tile assignment
             feeds it the ``raster.pairs_total`` / ``raster.pairs_culled``
-            and ``raster.pixels_total`` / ``raster.pixels_culled``
-            counters.
+            counters, plus ``raster.pixels_total`` / ``raster.pixels_culled``
+            when it computes intervals (``record_workloads``).
 
     Returns:
         A :class:`RasterizationResult`.
@@ -974,11 +793,6 @@ def render(
     cull = cull or DEFAULT_CULL_MODE
     if cull not in CULL_MODES:
         raise ValueError(f"unknown cull mode {cull!r}; expected one of {CULL_MODES}")
-    sparsity = sparsity or DEFAULT_SPARSITY_MODE
-    if sparsity not in SPARSITY_MODES:
-        raise ValueError(
-            f"unknown sparsity mode {sparsity!r}; expected one of {SPARSITY_MODES}"
-        )
 
     intr = camera.intrinsics
     height, width = intr.height, intr.width
@@ -989,8 +803,11 @@ def render(
             projection, visible=projection.visible & np.asarray(active_mask, dtype=bool)
         )
     if tile_grid is None:
+        # Per-pair active-pixel intervals are workload accounting only, so
+        # they are extracted exactly when the workloads are recorded.
         tile_grid = assign_tiles(
-            projection, width, height, tile_size, cull=cull, sparsity=sparsity, perf=perf
+            projection, width, height, tile_size, cull=cull,
+            intervals=record_workloads, perf=perf,
         )
 
     count = len(model)
@@ -1085,8 +902,8 @@ def render(
             blended_mask = alpha > 0.0
             computed_mask = ~data["terminated"]
             if table.intervals is not None:
-                # Pixel sparsity: only entries inside the pair's active
-                # interval count as evaluated (matches the bucketed
+                # Only entries inside the pair's active interval count as
+                # evaluated (matches the bucketed
                 # engine's accounting; pixels are row-major in the tile).
                 rows = np.arange(alpha.shape[0]) // tile_w
                 cols = np.arange(alpha.shape[0]) % tile_w

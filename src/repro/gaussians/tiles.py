@@ -25,8 +25,8 @@ touched pixels the cull removed relative to the classic sigma-radius
 tables — the rasterizer adds these back into the contribution statistics
 so AGS's contribution-aware decisions are unchanged by culling.
 
-Pixel-level sparsity (``assign_tiles(..., sparsity="pixel")``, the
-default): the second, sub-tile culling stage.  For every *retained*
+Sub-tile active-pixel intervals (``assign_tiles(..., intervals=True)``,
+the default): the second, sub-tile culling stage.  For every *retained*
 (tile, Gaussian) pair the same closed-form conic minimization is applied
 per pixel row and per pixel column of the tile: minimizing the convex
 quadratic ``q`` over one row (column) strip is exactly the clamped edge
@@ -36,12 +36,13 @@ centers.  Rows/columns whose strip minimum keeps alpha below
 partial minimum of a convex function is convex in the remaining
 variable, the surviving rows (columns) form one contiguous interval —
 each pair's active pixels are the ``[r0, r1) x [c0, c1)`` sub-rectangle
-stored in ``GaussianTable.intervals``.  The rasterizer evaluates only
-those (pair, pixel) entries (every excluded pixel would have been zeroed
-by the alpha cut-off anyway, so images, statistics and gradients are
-bit-identical); the removed per-pixel workload is reported via
-``TileGrid.pixels_total`` / ``TileGrid.pixels_culled`` and the
-``raster.pixels_total`` / ``raster.pixels_culled`` perf counters.
+stored in ``GaussianTable.intervals``.  The intervals are workload
+accounting: the rasterizer computes the full tile lattice either way, but
+a workload-recording render counts only interval entries as evaluated, and
+the removed per-pixel workload is reported via ``TileGrid.pixels_culled``
+and the ``raster.pixels_total`` / ``raster.pixels_culled`` perf counters
+— the sub-tile skipping the hardware models consume.  ``render`` asks for
+intervals exactly when it records workloads.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.gaussians.projection import ALPHA_MIN, ProjectionResult, conic_strip_
 
 __all__ = [
     "CULL_MODES",
-    "SPARSITY_MODES",
     "TILE_SIZE",
     "TileGrid",
     "GaussianTable",
@@ -68,12 +68,6 @@ TILE_SIZE = 8
 # the tile (the classic expansion); "precise" additionally removes pairs
 # whose alpha is provably below ALPHA_MIN everywhere in the tile.
 CULL_MODES = ("aabb", "precise")
-
-# Sub-tile sparsity modes: "tile" evaluates every pixel of a retained
-# (tile, Gaussian) pair; "pixel" restricts each pair to its active
-# row/column interval (the sub-rectangle outside of which the splat's
-# alpha is provably below ALPHA_MIN).
-SPARSITY_MODES = ("tile", "pixel")
 
 # Slack (in log-alpha) subtracted from the cull comparison so float
 # round-off in the closed-form minimum can never drop a pair whose alpha
@@ -94,7 +88,8 @@ class GaussianTable:
             intervals ``(r0, r1, c0, c1)`` (half-open, tile-local rows and
             columns), aligned with ``gaussian_ids``.  Outside the
             ``[r0, r1) x [c0, c1)`` sub-rectangle the pair's alpha is
-            provably below ``ALPHA_MIN``.  None under ``sparsity="tile"``.
+            provably below ``ALPHA_MIN``.  None unless the grid was built
+            with ``intervals=True``.
     """
 
     tile_x: int
@@ -121,9 +116,8 @@ class TileGrid:
 
     ``pixels_total`` counts the (pair, pixel) blending entries of the
     *retained* pairs (the per-pixel workload the tables imply after pair
-    culling) and ``pixels_culled`` how many of them the ``sparsity``
-    mode's sub-tile interval stage removed (zero under
-    ``sparsity="tile"``).
+    culling) and ``pixels_culled`` how many of them the sub-tile interval
+    stage removed (zero when the grid was built without intervals).
     """
 
     width: int
@@ -137,7 +131,6 @@ class TileGrid:
     culled_pixels: np.ndarray | None = dataclasses.field(default=None, repr=False)
     cull: str = "aabb"
     radius_mode: str = "sigma"
-    sparsity: str = "tile"
     pixels_total: int = 0
     pixels_culled: int = 0
     # Per-shape pixel-offset cache shared by every consumer of this grid
@@ -149,11 +142,11 @@ class TileGrid:
 
     @property
     def mode_tag(self) -> str:
-        """Radius/cull/sparsity mode triple, stamped onto forward caches
-        built from this grid so a cache populated under one culling
-        configuration is never silently consumed by a backward pass
-        expecting another."""
-        return f"{self.radius_mode}:{self.cull}:{self.sparsity}"
+        """Radius/cull mode pair, stamped onto forward caches built from
+        this grid so a cache populated under one culling configuration is
+        never silently consumed by a backward pass expecting another.
+        Intervals are not part of it: they never change cache contents."""
+        return f"{self.radius_mode}:{self.cull}"
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -462,7 +455,7 @@ def assign_tiles(
     height: int,
     tile_size: int = TILE_SIZE,
     cull: str = "precise",
-    sparsity: str = "pixel",
+    intervals: bool = True,
     perf=None,
 ) -> TileGrid:
     """Assign projected Gaussians to tiles and depth-sort every table.
@@ -475,15 +468,16 @@ def assign_tiles(
             is provably below ``ALPHA_MIN`` at every pixel center of the
             tile (exact — rendered output is unchanged); ``"aabb"`` keeps
             the classic bounding-box expansion.
-        sparsity: ``"pixel"`` (default) additionally computes, per
-            retained pair, the active row/column interval outside of which
-            the splat's alpha is provably below ``ALPHA_MIN`` (stored in
-            ``GaussianTable.intervals``; the rasterizer then evaluates
-            only the active sub-rectangle — exact, output is unchanged);
-            ``"tile"`` evaluates every pixel of every retained pair.
+        intervals: additionally compute, per retained pair, the active
+            row/column interval outside of which the splat's alpha is
+            provably below ``ALPHA_MIN`` (stored in
+            ``GaussianTable.intervals``, summarized by
+            ``TileGrid.pixels_culled``).  Workload accounting only: the
+            rendered output never depends on it.
         perf: optional :class:`repro.perf.PerfRecorder`; receives the
-            ``raster.pairs_total`` / ``raster.pairs_culled`` and
-            ``raster.pixels_total`` / ``raster.pixels_culled`` counters.
+            ``raster.pairs_total`` / ``raster.pairs_culled`` counters, plus
+            ``raster.pixels_total`` / ``raster.pixels_culled`` when
+            ``intervals`` is set.
 
     Returns:
         A :class:`TileGrid` whose tables list the overlapping Gaussians of
@@ -491,10 +485,6 @@ def assign_tiles(
     """
     if cull not in CULL_MODES:
         raise ValueError(f"unknown cull mode {cull!r}; expected one of {CULL_MODES}")
-    if sparsity not in SPARSITY_MODES:
-        raise ValueError(
-            f"unknown sparsity mode {sparsity!r}; expected one of {SPARSITY_MODES}"
-        )
     tiles_x, tiles_y = build_tile_grid(width, height, tile_size)
     num_tiles = tiles_x * tiles_y
     visible_ids = np.nonzero(projection.visible)[0]
@@ -581,13 +571,13 @@ def assign_tiles(
             culled_pixels[visible_ids] = base_pixels
             culled_pixels -= survived.astype(np.int64)
 
-        intervals: np.ndarray | None = None
-        if sparsity == "pixel" and len(gid_pairs):
-            intervals = _active_intervals(
+        pair_intervals: np.ndarray | None = None
+        if intervals and len(gid_pairs):
+            pair_intervals = _active_intervals(
                 projection, gid_pairs, tile_x, tile_y, tile_w_pairs, tile_h_pairs, tile_size
             )
-            active_pix = (intervals[:, 1] - intervals[:, 0]) * (
-                intervals[:, 3] - intervals[:, 2]
+            active_pix = (pair_intervals[:, 1] - pair_intervals[:, 0]) * (
+                pair_intervals[:, 3] - pair_intervals[:, 2]
             )
             pixels_culled = pixels_total - int(active_pix.sum())
 
@@ -600,8 +590,8 @@ def assign_tiles(
         tile_sorted = tile_pairs[order]
         gid_sorted = gid_pairs[order]
         depths_sorted = depths[gid_sorted]
-        if intervals is not None:
-            intervals_sorted = intervals[order]
+        if pair_intervals is not None:
+            intervals_sorted = pair_intervals[order]
         bounds = np.searchsorted(tile_sorted, np.arange(num_tiles + 1))
     else:
         if not legacy:
@@ -613,8 +603,11 @@ def assign_tiles(
     if perf is not None:
         perf.count("raster.pairs_total", pairs_total)
         perf.count("raster.pairs_culled", pairs_culled)
-        perf.count("raster.pixels_total", pixels_total)
-        perf.count("raster.pixels_culled", pixels_culled)
+        if intervals:
+            # Only grids that measured the sub-tile culling report it, so
+            # the pixels culled fraction keeps its meaning.
+            perf.count("raster.pixels_total", pixels_total)
+            perf.count("raster.pixels_culled", pixels_culled)
 
     tables: list[GaussianTable] = []
     empty_ids = np.zeros(0, dtype=np.int64)
@@ -652,7 +645,6 @@ def assign_tiles(
         culled_pixels=culled_pixels,
         cull=cull,
         radius_mode=radius_mode,
-        sparsity=sparsity,
         pixels_total=pixels_total,
         pixels_culled=pixels_culled,
     )

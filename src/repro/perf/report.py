@@ -38,8 +38,9 @@ ROBUSTNESS_COUNTERS = (
 
 # The rasterizer sparsity counters, surfaced the same way: pair-level
 # culling (PR 5's exact tile tables) and pixel-level culling (the
-# active-interval masks) are the two workload reductions every perf
-# report should quantify, as explicit zeros when rendering never ran.
+# active-pixel intervals, counted by workload-recording renders) are the
+# two workload reductions every perf report should quantify, as explicit
+# zeros when rendering never ran.
 RASTERIZER_COUNTERS = (
     "raster.pairs_total",
     "raster.pairs_culled",

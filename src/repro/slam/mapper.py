@@ -163,20 +163,21 @@ class GaussianMapper:
         model = model.copy()
         num_densified = 0
         if config.densify and allow_densify:
-            seed_result = (
-                render(model, camera, record_workloads=False, record_contributions=False)
-                if len(model)
-                else None
-            )
-            if seed_result is None:
-                model = self._bootstrap_model(camera, frame_color, frame_depth)
-                num_densified = len(model)
-            else:
-                model, report = densify_from_frame(
-                    model, camera, seed_result, frame_color, frame_depth,
-                    config=config.densification, rng=self._rng,
+            with self.perf.section("mapper/densify"):
+                seed_result = (
+                    render(model, camera, record_workloads=False, record_contributions=False)
+                    if len(model)
+                    else None
                 )
-                num_densified = report.num_added
+                if seed_result is None:
+                    model = self._bootstrap_model(camera, frame_color, frame_depth)
+                    num_densified = len(model)
+                else:
+                    model, report = densify_from_frame(
+                        model, camera, seed_result, frame_color, frame_depth,
+                        config=config.densification, rng=self._rng,
+                    )
+                    num_densified = report.num_added
 
         if active_mask is not None:
             mask = np.ones(len(model), dtype=bool)
@@ -269,8 +270,11 @@ class GaussianMapper:
                 for name in GaussianModel.PARAM_NAMES:
                     self.optimizer.resize_state(name, keep_idx, len(keep_idx))
 
-        final_render = render(model, camera, record_workloads=False, record_contributions=False)
-        frame_quality = psnr(final_render.color, frame_color)
+        with self.perf.section("mapper/quality"):
+            final_render = render(
+                model, camera, record_workloads=False, record_contributions=False
+            )
+            frame_quality = psnr(final_render.color, frame_color)
 
         workload = MappingWorkload(
             iterations=len(loss_history),

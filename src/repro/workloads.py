@@ -46,7 +46,8 @@ class RenderWorkload:
             pairs — the within-tile work a tile-granular rasterizer would
             execute.
         pixels_culled: of those, the entries removed by the pixel-level
-            active-interval culling (0 under ``sparsity="tile"``); the
+            active-interval culling (0 for a grid built without
+            intervals); the
             hardware models use the ratio to discount within-tile work.
     """
 

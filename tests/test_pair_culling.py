@@ -9,7 +9,8 @@ center of the tile.  These tests pin that down at full strength:
 * dropped pairs are verified zero-alpha by evaluating their conics over
   the tile's pixels;
 * the bucketed forward render and the fused backward are *bit-identical*
-  across all four radius/cull combinations;
+  across all four radius/cull combinations, with and without
+  ``record_workloads`` (which also attaches the sub-tile intervals);
 * the integer contribution statistics (touched / non-contributory pixel
   counts, per-Gaussian alpha maxima) are exactly equal across modes (the
   culled pairs are added back), so AGS's contribution-aware decisions are
@@ -18,8 +19,7 @@ center of the tile.  These tests pin that down at full strength:
   grids, and the new ``raster.pairs_*`` counters and ``TileGrid``
   accounting are consistent.
 
-The ``-m slow`` entries sweep randomized opacities / scales / poses and
-run the float32-cache accuracy study.
+The ``-m slow`` entry sweeps randomized opacities / scales / poses.
 """
 
 import numpy as np
@@ -35,11 +35,7 @@ from repro.gaussians import (
     render_backward,
 )
 from repro.gaussians.projection import ALPHA_MIN, RADIUS_MODES, project_gaussians
-from repro.gaussians.rasterizer import (
-    DEFAULT_CULL_MODE,
-    DEFAULT_RADIUS_MODE,
-    DEFAULT_SPARSITY_MODE,
-)
+from repro.gaussians.rasterizer import DEFAULT_CULL_MODE, DEFAULT_RADIUS_MODE
 from repro.gaussians.tiles import CULL_MODES, assign_tiles
 from repro.perf import PerfRecorder
 
@@ -123,9 +119,7 @@ def test_tile_grid_pair_accounting_consistent():
     assert grid.pairs_total - grid.pairs_culled == grid.total_assignments()
     assert grid.cull == DEFAULT_CULL_MODE
     assert grid.radius_mode == DEFAULT_RADIUS_MODE
-    assert grid.mode_tag == (
-        f"{DEFAULT_RADIUS_MODE}:{DEFAULT_CULL_MODE}:{DEFAULT_SPARSITY_MODE}"
-    )
+    assert grid.mode_tag == f"{DEFAULT_RADIUS_MODE}:{DEFAULT_CULL_MODE}"
     # The legacy configuration reports its own pair count and no culling.
     legacy_grid = render(model, camera, radius="sigma", cull="aabb").tile_grid
     assert legacy_grid.pairs_culled == 0
@@ -141,9 +135,14 @@ def test_tile_grid_pair_accounting_consistent():
 def test_render_bit_identical_across_modes(radius, cull):
     model, camera = _mixed_opacity_scene()
     legacy = render(model, camera, radius="sigma", cull="aabb")
-    other = render(model, camera, radius=radius, cull=cull)
-    _assert_renders_bit_identical(legacy, other)
-    _assert_contrib_stats_equal(legacy, other)
+    for record_workloads in (True, False):
+        other = render(
+            model, camera, radius=radius, cull=cull, record_workloads=record_workloads
+        )
+        _assert_renders_bit_identical(legacy, other)
+        _assert_contrib_stats_equal(legacy, other)
+        if record_workloads:
+            assert other.total_pairs_blended == legacy.total_pairs_blended
 
 
 def test_stats_render_integer_equality_bucketed_vs_reference_on_culled_grid():
@@ -171,14 +170,23 @@ def test_reference_backend_stats_invariant_across_modes():
 
 def test_workload_shrinks_but_blended_pairs_invariant():
     model, camera = _mixed_opacity_scene()
-    # Pair culling is measured under sparsity="tile" (pixel sparsity would
-    # equalize the computed-pair counts, since it already masks out every
-    # inactive pixel of the extra legacy pairs).
-    legacy = render(model, camera, radius="sigma", cull="aabb", sparsity="tile")
-    culled = render(model, camera, sparsity="tile")
+
+    def tile_granular(radius, cull):
+        # Pair culling is measured on grids without sub-tile intervals
+        # (the intervals would equalize the computed-pair counts, since
+        # they already exclude every inactive pixel of the extra legacy
+        # pairs).
+        projection = project_gaussians(model, camera, radius=radius)
+        grid = assign_tiles(
+            projection, camera.width, camera.height, cull=cull, intervals=False
+        )
+        return render(model, camera, projection=projection, tile_grid=grid)
+
+    legacy = tile_granular("sigma", "aabb")
+    culled = tile_granular(DEFAULT_RADIUS_MODE, DEFAULT_CULL_MODE)
     assert culled.total_pairs_computed < legacy.total_pairs_computed
     assert culled.total_pairs_blended == legacy.total_pairs_blended
-    # Pixel sparsity shrinks the computed pairs further, blending invariant.
+    # The intervals shrink the computed pairs further, blending invariant.
     pixel = render(model, camera)
     assert pixel.total_pairs_computed < culled.total_pairs_computed
     assert pixel.total_pairs_blended == culled.total_pairs_blended
@@ -201,26 +209,27 @@ def test_active_mask_culling_bit_identical():
 def test_fused_backward_bit_identical_across_modes(use_cache):
     model, camera = _mixed_opacity_scene()
     rng = np.random.default_rng(0)
-    results = {}
-    for radius, cull in [("sigma", "aabb"), (DEFAULT_RADIUS_MODE, DEFAULT_CULL_MODE)]:
-        cache = ForwardCache() if use_cache else None
-        result = render(
-            model, camera, record_workloads=False, record_contributions=False,
-            cache=cache, radius=radius, cull=cull,
-        )
-        results[(radius, cull)] = result
-    grad_color = rng.normal(size=results[("sigma", "aabb")].color.shape)
-    grad_depth = rng.normal(size=results[("sigma", "aabb")].depth.shape)
-    grads = {}
-    for key, result in results.items():
-        grads[key] = render_backward(
-            model, camera, result, grad_color, grad_depth, compute_pose_gradient=True
-        )
-    legacy_grads, legacy_pose = grads[("sigma", "aabb")]
-    culled_grads, culled_pose = grads[(DEFAULT_RADIUS_MODE, DEFAULT_CULL_MODE)]
-    for name, value in legacy_grads.as_dict().items():
-        np.testing.assert_array_equal(culled_grads.as_dict()[name], value, err_msg=name)
-    np.testing.assert_array_equal(culled_pose.vector, legacy_pose.vector)
+    grad_color = grad_depth = None
+    legacy_grads = legacy_pose = None
+    for radius, cull in [("sigma", "aabb")] + MODES:
+        for record_workloads in (False, True):
+            cache = ForwardCache() if use_cache else None
+            result = render(
+                model, camera, record_workloads=record_workloads,
+                record_contributions=False, cache=cache, radius=radius, cull=cull,
+            )
+            if grad_color is None:
+                grad_color = rng.normal(size=result.color.shape)
+                grad_depth = rng.normal(size=result.depth.shape)
+            grads, pose = render_backward(
+                model, camera, result, grad_color, grad_depth, compute_pose_gradient=True
+            )
+            if legacy_grads is None:
+                legacy_grads, legacy_pose = grads, pose
+                continue
+            for name, value in legacy_grads.as_dict().items():
+                np.testing.assert_array_equal(grads.as_dict()[name], value, err_msg=name)
+            np.testing.assert_array_equal(pose.vector, legacy_pose.vector)
 
 
 def test_fused_backward_matches_reference_on_culled_grid():
@@ -241,9 +250,7 @@ def test_cache_mode_stamp_recorded():
     model, camera = _scene()
     cache = ForwardCache()
     result = render(model, camera, cache=cache)
-    assert result.forward_cache_mode == (
-        f"{DEFAULT_RADIUS_MODE}:{DEFAULT_CULL_MODE}:{DEFAULT_SPARSITY_MODE}"
-    )
+    assert result.forward_cache_mode == f"{DEFAULT_RADIUS_MODE}:{DEFAULT_CULL_MODE}"
     assert cache.mode == result.forward_cache_mode
 
 
@@ -298,42 +305,6 @@ def test_pair_counters_recorded():
 
 
 # ----------------------------------------------------------------------
-# float32 cache storage knob
-# ----------------------------------------------------------------------
-def test_float32_cache_store_keeps_images_and_approximates_gradients():
-    model, camera = _scene()
-    rng = np.random.default_rng(0)
-    cache64, cache32 = ForwardCache(), ForwardCache(dtype=np.float32)
-    r64 = render(model, camera, record_workloads=False, record_contributions=False,
-                 cache=cache64)
-    r32 = render(model, camera, record_workloads=False, record_contributions=False,
-                 cache=cache32)
-    # Storage precision must not leak into the composited images.
-    _assert_renders_bit_identical(r64, r32)
-    retained64 = sum(
-        c.alpha.nbytes + c.t_before.nbytes + c.weights.nbytes + c.dx.nbytes
-        + c.dy.nbytes + c.opac.nbytes
-        for c in cache64.chunks
-    )
-    retained32 = sum(
-        c.alpha.nbytes + c.t_before.nbytes + c.weights.nbytes + c.dx.nbytes
-        + c.dy.nbytes + c.opac.nbytes
-        for c in cache32.chunks
-    )
-    assert retained32 < retained64
-    grad_color = rng.normal(size=r64.color.shape)
-    grad_depth = rng.normal(size=r64.depth.shape)
-    g64, p64 = render_backward(model, camera, r64, grad_color, grad_depth,
-                               compute_pose_gradient=True)
-    g32, p32 = render_backward(model, camera, r32, grad_color, grad_depth,
-                               compute_pose_gradient=True)
-    for name, value in g64.as_dict().items():
-        scale = np.abs(value).max() or 1.0
-        assert np.abs(g32.as_dict()[name] - value).max() / scale < 1e-5, name
-    assert np.abs(p32.vector - p64.vector).max() / np.abs(p64.vector).max() < 1e-5
-
-
-# ----------------------------------------------------------------------
 # Slow randomized sweeps
 # ----------------------------------------------------------------------
 @pytest.mark.slow
@@ -362,34 +333,3 @@ def test_culling_exactness_sweep_randomized_scenes(seed):
         other_grads, _ = render_backward(model, camera, other, grad_color)
         for name, value in legacy_grads.as_dict().items():
             np.testing.assert_array_equal(other_grads.as_dict()[name], value, err_msg=name)
-
-
-@pytest.mark.slow
-def test_float32_cache_accuracy_study():
-    """Measure the backward deviation of the float32 cache vs float64.
-
-    Resolves the ROADMAP open item with data: the deviation is recorded in
-    the assertion bound below (and printed), and the default cache dtype
-    stays float64.
-    """
-    worst = 0.0
-    for seed in range(4):
-        rng = np.random.default_rng(3000 + seed)
-        count = int(rng.integers(50, 400))
-        model, camera = _scene(count=count, seed=seed, width=120, height=90,
-                               opacity_shift=float(rng.uniform(-3.0, 3.0)))
-        r64 = render(model, camera, record_workloads=False,
-                     record_contributions=False, cache=ForwardCache())
-        r32 = render(model, camera, record_workloads=False,
-                     record_contributions=False, cache=ForwardCache(dtype=np.float32))
-        _assert_renders_bit_identical(r64, r32)
-        grad_color = rng.normal(size=r64.color.shape)
-        grad_depth = rng.normal(size=r64.depth.shape)
-        g64, _ = render_backward(model, camera, r64, grad_color, grad_depth)
-        g32, _ = render_backward(model, camera, r32, grad_color, grad_depth)
-        for name, value in g64.as_dict().items():
-            scale = np.abs(value).max() or 1.0
-            worst = max(worst, float(np.abs(g32.as_dict()[name] - value).max() / scale))
-    print(f"float32-cache max relative gradient deviation: {worst:.3e}")
-    # Measured ~1e-7..1e-6; the bound leaves an order of magnitude slack.
-    assert worst < 1e-5

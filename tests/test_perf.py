@@ -167,6 +167,10 @@ def test_ags_pipeline_records_perf(tiny_sequence):
     assert "ags/covisibility" in timers
     assert "ags/mapping" in timers
     assert timers["ags/mapping"]["calls"] == 3
+    # The densify seed render and the per-frame PSNR render run under
+    # their own mapper timers, not outside every timer.
+    assert timers["ags/mapping/mapper/quality"]["calls"] == 3
+    assert "ags/mapping/mapper/densify" in timers
     counts = perf.counters.as_dict()
     assert counts["frames.processed"] == 3
     assert counts["codec.sad_evaluations"] > 0

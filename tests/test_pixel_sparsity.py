@@ -1,24 +1,28 @@
-"""Exactness and robustness tests for pixel-level sparse rasterization.
+"""Exactness and accounting tests for the sub-tile active-pixel intervals.
 
-``sparsity="pixel"`` (the default) attaches conservative per-pair active
-row/column intervals to every tile table — closed-form conic strip minima,
-the same math as the PR 5 pair cull applied per pixel row/column — and the
-bucketed engine consumes them both for accounting (``pairs_computed``,
-``raster.pixels_*``) and, on sufficiently sparse chunks, for a masked
-row-segment execution schedule.  All of it must be *pure*: relative to
-``sparsity="tile"`` the images, integer contribution statistics and fused
-backward gradients are bit-identical, across every knob combination and
-both execution schedules.
+A workload-recording render (``record_workloads=True``) has the tile
+assignment attach conservative per-pair active row/column intervals to
+every tile table — closed-form conic strip minima, the same math as the
+PR 5 pair cull applied per pixel row/column.  The intervals are workload
+accounting only (``pairs_computed``, ``raster.pixels_*``, the hardware
+models' sub-tile skipping); the bucketed engine computes the dense padded
+lattice either way.  So relative to a grid without intervals the images,
+integer contribution statistics and fused backward gradients are
+bit-identical, across every radius x cull x ``record_workloads``
+combination.
 
 These tests pin that down, plus the supporting machinery:
 
 * intervals are conservative supersets of the alpha >= ALPHA_MIN support;
+* stats-free renders skip interval extraction and count no
+  ``raster.pixels_*``; recording renders count exactly the interval
+  entries as ``pairs_computed``;
 * the ``raster.pixels_total`` / ``raster.pixels_culled`` counters, the
   ``RenderWorkload`` pixel fields and the hardware models' consumption of
   them (no double-discounting in GSCore) are consistent;
 * ``ForwardCache`` / ``ScratchPool`` stay correct and bounded under
-  alternating ``mode_tag`` s (sparsity flips, masked/fallback flips);
-* checkpoint/resume stays bit-identical under the new default.
+  alternating radius/cull ``mode_tag`` s;
+* checkpoint/resume stays bit-identical.
 """
 
 from __future__ import annotations
@@ -39,9 +43,8 @@ from repro.gaussians import (
     render_backward,
 )
 from repro.gaussians.projection import ALPHA_MIN, RADIUS_MODES, project_gaussians
-from repro.gaussians import rasterizer as rasterizer_module
-from repro.gaussians.rasterizer import DEFAULT_SPARSITY_MODE
-from repro.gaussians.tiles import CULL_MODES, SPARSITY_MODES, assign_tiles
+from repro.gaussians.rasterizer import tile_forward
+from repro.gaussians.tiles import CULL_MODES, assign_tiles
 from repro.hardware.accelerator import record_trace_counters
 from repro.hardware.config import JETSON_XAVIER
 from repro.hardware.gscore_model import GsCorePlatform
@@ -55,11 +58,15 @@ from repro.workloads import (
     TrackingWorkload,
 )
 
+# The grid a render builds: a workload-recording render ("pixel") carries
+# per-pair active-pixel intervals, a stats-free one ("tile") does not.
+RECORD_WORKLOADS = {"pixel": True, "tile": False}
+
 ALL_KNOBS = [
-    (radius, cull, sparsity)
+    (radius, cull, grid)
     for radius in RADIUS_MODES
     for cull in CULL_MODES
-    for sparsity in SPARSITY_MODES
+    for grid in RECORD_WORKLOADS
 ]
 
 
@@ -105,57 +112,55 @@ def _assert_grads_bit_identical(a, b):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity across every knob combination and both schedules
+# Bit-identity across every radius x cull x record_workloads combination
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("radius,cull,sparsity", ALL_KNOBS)
-def test_render_bit_identical_across_all_knob_combinations(radius, cull, sparsity):
+def _has_intervals(grid) -> bool:
+    tables = [table for table in grid.tables if len(table)]
+    with_intervals = [table.intervals is not None for table in tables]
+    assert all(with_intervals) or not any(with_intervals)
+    return bool(tables) and with_intervals[0]
+
+
+@pytest.mark.parametrize("radius,cull,grid", ALL_KNOBS)
+def test_render_bit_identical_across_all_knob_combinations(radius, cull, grid):
     model, camera = _mixed_opacity_scene()
-    legacy = render(model, camera, radius="sigma", cull="aabb", sparsity="tile")
-    other = render(model, camera, radius=radius, cull=cull, sparsity=sparsity)
+    record_workloads = RECORD_WORKLOADS[grid]
+    legacy = render(model, camera, radius="sigma", cull="aabb")
+    other = render(
+        model, camera, radius=radius, cull=cull, record_workloads=record_workloads
+    )
+    assert _has_intervals(other.tile_grid) == record_workloads
     _assert_renders_bit_identical(legacy, other)
     _assert_contrib_stats_equal(legacy, other)
-    assert other.total_pairs_blended == legacy.total_pairs_blended
+    if record_workloads:
+        assert other.total_pairs_blended == legacy.total_pairs_blended
 
 
 @pytest.mark.parametrize("use_cache", [True, False])
 def test_fused_backward_bit_identical_pixel_vs_tile(use_cache):
     model, camera = _mixed_opacity_scene()
     grad_color, grad_depth = _grads()
-    grads = {}
-    for sparsity in SPARSITY_MODES:
+    legacy = render(model, camera, radius="sigma", cull="aabb", record_workloads=False)
+    reference, reference_pose = render_backward(
+        model, camera, legacy, grad_color, grad_depth, compute_pose_gradient=True
+    )
+    for radius, cull, grid in ALL_KNOBS:
         cache = ForwardCache() if use_cache else None
-        result = render(model, camera, cache=cache, sparsity=sparsity)
-        grads[sparsity], _ = render_backward(
+        result = render(
+            model, camera, cache=cache, radius=radius, cull=cull,
+            record_workloads=RECORD_WORKLOADS[grid],
+        )
+        grads, pose = render_backward(
             model, camera, result, grad_color, grad_depth, compute_pose_gradient=True
         )
-    _assert_grads_bit_identical(grads["pixel"], grads["tile"])
-
-
-@pytest.mark.parametrize("threshold", [-1.0, 2.0])
-def test_masked_and_fallback_schedules_bit_identical(monkeypatch, threshold):
-    """Forcing either execution schedule changes nothing but wall-clock.
-
-    ``threshold = -1.0`` forces the dense fallback on every chunk,
-    ``2.0`` forces the masked row-segment path; both must match the
-    tile-granular render and gradients bit for bit.
-    """
-    model, camera = _mixed_opacity_scene()
-    grad_color, grad_depth = _grads()
-    baseline = render(model, camera, cache=ForwardCache(), sparsity="tile")
-    base_grads, _ = render_backward(model, camera, baseline, grad_color, grad_depth)
-
-    monkeypatch.setattr(rasterizer_module, "_SPARSE_DENSITY_FALLBACK", threshold)
-    forced = render(model, camera, cache=ForwardCache(), sparsity="pixel")
-    _assert_renders_bit_identical(baseline, forced)
-    _assert_contrib_stats_equal(baseline, forced)
-    forced_grads, _ = render_backward(model, camera, forced, grad_color, grad_depth)
-    _assert_grads_bit_identical(base_grads, forced_grads)
+        _assert_grads_bit_identical(reference, grads)
+        np.testing.assert_array_equal(reference_pose.vector, pose.vector)
 
 
 def test_bucketed_matches_reference_stats_under_pixel():
     model, camera = _mixed_opacity_scene()
-    reference = render(model, camera, backend="reference", sparsity="pixel")
-    bucketed = render(model, camera, backend="bucketed", sparsity="pixel")
+    reference = render(model, camera, backend="reference")
+    bucketed = render(model, camera, backend="bucketed")
     _assert_contrib_stats_equal(reference, bucketed)
     np.testing.assert_allclose(bucketed.color, reference.color, atol=1e-9, rtol=0)
     for ref_tile, fast_tile in zip(reference.tile_workloads, bucketed.tile_workloads):
@@ -163,30 +168,12 @@ def test_bucketed_matches_reference_stats_under_pixel():
         assert fast_tile.pairs_blended == ref_tile.pairs_blended
 
 
-def test_float32_cache_keeps_images_bit_identical_under_pixel(monkeypatch):
-    # Force the masked schedule so the compressed (segments, tile_w)
-    # cache storage is the variant exercised.
-    monkeypatch.setattr(rasterizer_module, "_SPARSE_DENSITY_FALLBACK", 2.0)
-    model, camera = _mixed_opacity_scene()
-    grad_color, grad_depth = _grads()
-    plain = render(model, camera, sparsity="pixel")
-    f64 = render(model, camera, cache=ForwardCache(), sparsity="pixel")
-    f32 = render(model, camera, cache=ForwardCache(dtype=np.float32), sparsity="pixel")
-    _assert_renders_bit_identical(plain, f32)
-    grads64, _ = render_backward(model, camera, f64, grad_color, grad_depth)
-    grads32, _ = render_backward(model, camera, f32, grad_color, grad_depth)
-    for name, value in grads64.as_dict().items():
-        np.testing.assert_allclose(
-            grads32.as_dict()[name], value, rtol=1e-4, atol=1e-7, err_msg=name
-        )
-
-
 # ----------------------------------------------------------------------
 # Intervals are conservative; counters are consistent
 # ----------------------------------------------------------------------
 def test_intervals_are_conservative_supersets():
     model, camera = _mixed_opacity_scene()
-    result = render(model, camera, sparsity="pixel")
+    result = render(model, camera)
     grid = result.tile_grid
     projection = result.projection
     opac = model.alphas
@@ -229,9 +216,8 @@ def test_intervals_are_conservative_supersets():
 def test_pixel_counters_consistent_with_grid_and_perf():
     model, camera = _mixed_opacity_scene()
     recorder = PerfRecorder()
-    result = render(model, camera, sparsity="pixel", perf=recorder)
+    result = render(model, camera, perf=recorder)
     grid = result.tile_grid
-    assert grid.sparsity == "pixel"
     assert grid.pixels_total > 0
     assert 0 < grid.pixels_culled < grid.pixels_total
     # Counter values match the grid exactly.
@@ -245,17 +231,58 @@ def test_pixel_counters_consistent_with_grid_and_perf():
             kept += int(((iv[:, 1] - iv[:, 0]) * (iv[:, 3] - iv[:, 2])).sum())
     assert kept == grid.pixels_total - grid.pixels_culled
 
-    tile_grid = render(model, camera, sparsity="tile").tile_grid
+    tile_grid = render(model, camera, record_workloads=False).tile_grid
     assert tile_grid.pixels_culled == 0
     assert tile_grid.pixels_total == grid.pixels_total
     for table in tile_grid.tables:
         assert table.intervals is None
 
 
+def test_stats_free_render_skips_intervals_and_pixel_counters():
+    model, camera = _mixed_opacity_scene()
+    recorder = PerfRecorder()
+    free = render(
+        model, camera, record_workloads=False, record_contributions=False,
+        perf=recorder,
+    )
+    assert free.tile_grid.total_assignments() > 0
+    assert all(table.intervals is None for table in free.tile_grid.tables)
+    counters = recorder.counters.as_dict()
+    assert "raster.pixels_total" not in counters
+    assert "raster.pixels_culled" not in counters
+    assert counters["raster.pairs_total"] > 0
+
+    recording = render(model, camera, perf=recorder)
+    grid = recording.tile_grid
+    assert grid.pixels_culled > 0
+    assert recorder.counters.get("raster.pixels_culled") == grid.pixels_culled
+    # pairs_computed counts the (pixel, Gaussian) entries inside each
+    # pair's interval that early termination did not skip, recomputed here
+    # from the per-tile specification.
+    expected = 0
+    for table in grid.tables:
+        if not len(table):
+            continue
+        data = tile_forward(
+            table, grid.pixel_centers(table), recording.projection,
+            model.colors, model.alphas,
+        )
+        tile_w, _ = grid.tile_shape(table)
+        pixel = np.arange(len(data["alpha"]))
+        rows = (pixel // tile_w)[:, None]
+        cols = (pixel % tile_w)[:, None]
+        r0, r1, c0, c1 = (table.intervals[:, k][None, :] for k in range(4))
+        inside = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+        expected += int((inside & ~data["terminated"]).sum())
+    assert recording.total_pairs_computed == expected
+
+
 def test_pixel_sparsity_reduces_alpha_evaluations_not_blending():
     model, camera = _mixed_opacity_scene()
-    tile = render(model, camera, sparsity="tile")
-    pixel = render(model, camera, sparsity="pixel")
+    projection = project_gaussians(model, camera)
+    tile_grid = assign_tiles(projection, camera.width, camera.height, intervals=False)
+    tile = render(model, camera, projection=projection, tile_grid=tile_grid)
+    pixel = render(model, camera)
     assert pixel.total_pairs_computed < tile.total_pairs_computed
     assert pixel.total_pairs_blended == tile.total_pairs_blended
 
@@ -265,7 +292,7 @@ def test_pixel_sparsity_reduces_alpha_evaluations_not_blending():
 # ----------------------------------------------------------------------
 def test_workload_records_and_scales_pixel_reduction():
     model, camera = _mixed_opacity_scene()
-    result = render(model, camera, sparsity="pixel")
+    result = render(model, camera)
     workload = RenderWorkload.from_result(result)
     grid = result.tile_grid
     assert workload.pixels_total == grid.pixels_total
@@ -277,7 +304,7 @@ def test_workload_records_and_scales_pixel_reduction():
 
 def test_trace_counters_include_pixel_work():
     model, camera = _mixed_opacity_scene()
-    workload = RenderWorkload.from_result(render(model, camera, sparsity="pixel"))
+    workload = RenderWorkload.from_result(render(model, camera))
     trace = SequenceTrace(sequence="synthetic", algorithm="ags", width=72, height=56)
     trace.frames.append(
         FrameTrace(
@@ -297,7 +324,7 @@ def test_trace_counters_include_pixel_work():
 
 def test_gscore_does_not_double_discount_measured_pixel_culling():
     model, camera = _mixed_opacity_scene()
-    workload = RenderWorkload.from_result(render(model, camera, sparsity="pixel"))
+    workload = RenderWorkload.from_result(render(model, camera))
     assert workload.pixels_culled > 0
     platform = GsCorePlatform(JETSON_XAVIER)
     measured = platform.forward_seconds(workload)
@@ -316,54 +343,41 @@ def test_gscore_does_not_double_discount_measured_pixel_culling():
 # ----------------------------------------------------------------------
 # ForwardCache / ScratchPool churn under alternating mode tags
 # ----------------------------------------------------------------------
-def test_cache_stale_after_sparsity_flip_rebuilds_bit_identically():
-    model, camera = _mixed_opacity_scene()
-    grad_color, grad_depth = _grads()
-    cache = ForwardCache()
-    res_pixel = render(model, camera, cache=cache, sparsity="pixel")
-    res_tile = render(model, camera, cache=cache, sparsity="tile")
-    # The stamp includes the sparsity mode, so the two results can never
-    # share cache contents.
-    assert res_pixel.forward_cache_mode != res_tile.forward_cache_mode
-    assert res_pixel.forward_cache_mode.endswith(":pixel")
-    assert res_tile.forward_cache_mode.endswith(":tile")
-    assert cache.mode == res_tile.tile_grid.mode_tag
-    # Consuming the stale pixel result must rebuild rather than read the
-    # pool buffers the tile render overwrote.
-    reference, _ = render_backward(
-        model, camera, render(model, camera, sparsity="pixel"), grad_color, grad_depth
-    )
-    stale, _ = render_backward(model, camera, res_pixel, grad_color, grad_depth)
-    _assert_grads_bit_identical(reference, stale)
-
-
-def test_scratch_pool_bounded_under_alternating_mode_tags(monkeypatch):
-    """Alternating sparsity modes and schedules neither corrupts gradients
-    nor grows the pool without bound (satellite of the sub-tile engine)."""
+def test_scratch_pool_bounded_under_alternating_mode_tags():
+    """Alternating radius/cull mode tags (and recording vs stats-free
+    renders) through one cache neither corrupts gradients nor grows the
+    pool without bound."""
     model, camera = _mixed_opacity_scene(count=80)
     grad_color, grad_depth = _grads()
-    reference = {
-        sparsity: render_backward(
-            model, camera, render(model, camera, sparsity=sparsity),
-            grad_color, grad_depth,
-        )[0]
-        for sparsity in SPARSITY_MODES
-    }
+    reference, _ = render_backward(
+        model, camera, render(model, camera, record_workloads=False),
+        grad_color, grad_depth,
+    )
     cache = ForwardCache()
     sizes = []
-    # (sparsity, forced threshold): tile-dense, pixel-masked and
-    # pixel-fallback all churn through the same cache and pool.
-    configurations = [("tile", 0.3), ("pixel", 2.0), ("pixel", -1.0)]
+    configurations = [
+        ("sigma", "aabb", False),
+        ("opacity", "precise", True),
+        ("sigma", "precise", False),
+        ("opacity", "aabb", True),
+    ]
     for _ in range(6):
-        for sparsity, threshold in configurations:
-            monkeypatch.setattr(
-                rasterizer_module, "_SPARSE_DENSITY_FALLBACK", threshold
+        stale = None
+        for radius, cull, record_workloads in configurations:
+            result = render(
+                model, camera, cache=cache, radius=radius, cull=cull,
+                record_workloads=record_workloads,
             )
-            result = render(model, camera, cache=cache, sparsity=sparsity)
-            grads, _ = render_backward(
-                model, camera, result, grad_color, grad_depth
-            )
-            _assert_grads_bit_identical(reference[sparsity], grads)
+            assert result.forward_cache_mode == f"{radius}:{cull}"
+            if stale is not None:
+                # The previous result's stamp no longer matches the cache:
+                # consuming it must rebuild, not read overwritten buffers.
+                assert stale.forward_cache_mode != cache.mode
+                grads, _ = render_backward(model, camera, stale, grad_color, grad_depth)
+                _assert_grads_bit_identical(reference, grads)
+            grads, _ = render_backward(model, camera, result, grad_color, grad_depth)
+            _assert_grads_bit_identical(reference, grads)
+            stale = result
         sizes.append(cache.pool.nbytes)
     # The pool reaches steady state after the first full cycle: every
     # later cycle re-takes the same named buffers at the same high-water
@@ -372,27 +386,7 @@ def test_scratch_pool_bounded_under_alternating_mode_tags(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Knob validation
-# ----------------------------------------------------------------------
-def test_unknown_sparsity_rejected():
-    model, camera = _scene(count=8)
-    with pytest.raises(ValueError, match="sparsity"):
-        render(model, camera, sparsity="subpixel")
-    projection = project_gaussians(model, camera)
-    with pytest.raises(ValueError, match="sparsity"):
-        assign_tiles(projection, 72, 56, sparsity="subpixel")
-
-
-def test_default_sparsity_is_pixel():
-    assert DEFAULT_SPARSITY_MODE == "pixel"
-    model, camera = _scene(count=8)
-    grid = render(model, camera).tile_grid
-    assert grid.sparsity == "pixel"
-    assert grid.mode_tag.endswith(":pixel")
-
-
-# ----------------------------------------------------------------------
-# Session-level invariants under the new default
+# Session-level invariants
 # ----------------------------------------------------------------------
 NUM_FRAMES = 4
 
